@@ -1,4 +1,4 @@
-"""Perf tracker: scalar-loop vs batched vs fused population evaluation.
+"""Perf tracker: scalar-loop vs batched population evaluation.
 
 Times the repository's hottest path -- evaluating a whole search
 population against the analytical cost model -- on a fixed workload
@@ -6,16 +6,13 @@ population against the analytical cost model -- on a fixed workload
 writes ``BENCH_costmodel.json`` at the repo root:
 
     {"scalar_s": ..., "batched_s": ..., "speedup": ...,
-     "fused_s": ..., "fused_speedup_x": ..., "fused32_speedup_x": ...}
+     "kernel_batched_s": ..., "mix_batched_s": ...}
 
-so the perf trajectory is tracked across future PRs.  The batched engine
+so the perf trajectory is tracked across changes.  The batched engine
 must beat the scalar loop by >= 10x on this workload (the acceptance bar
-of the PR that introduced it), and the fused tensor program must beat
-the batched kernel by >= 1.5x on the kernel-level population batch
-(the bar of the PR that introduced the fused kernels; ``fused32`` --
-and ``fused_jit`` when numba is importable -- are recorded but not
-gated).  Bit parity of every returned cost is asserted while we are at
-it.
+of the change that introduced it); the bare kernel timings on one
+single-style and one mixed-style batch are recorded but not gated.  Bit
+parity of every returned cost is asserted while we are at it.
 """
 
 from __future__ import annotations
@@ -30,15 +27,8 @@ import numpy as np
 from repro.core.constraints import platform_constraint
 from repro.core.evaluator import DesignPointEvaluator
 from repro.core.reporting import format_table
-from repro.costmodel import (
-    DEFAULT_HW,
-    CostModel,
-    LayerTable,
-    STYLE_INDEX,
-    compile_program,
-    evaluate_with_kernel,
-    numba_available,
-)
+from repro.costmodel import DEFAULT_HW, CostModel, LayerTable, STYLE_INDEX
+from repro.costmodel.batched import evaluate_batch_kernel
 from repro.env.spaces import ActionSpace
 from repro.models import get_model
 
@@ -98,9 +88,9 @@ def test_perf_costmodel(save_report):
     speedup = scalar_s / batched_s
 
     # ------------------------------------------------------------------
-    # Kernel-level: the batched reference vs the fused tensor programs
-    # on one (population x layers) single-style batch -- the exact call
-    # the searches spend their time in.
+    # Kernel-level: one (population x layers) batch through the bare
+    # kernel -- the exact call the searches spend their time in -- once
+    # single-style and once mixing all three dataflow styles.
     # ------------------------------------------------------------------
     table = LayerTable.build(layers)
     rng = np.random.default_rng(1)
@@ -109,67 +99,26 @@ def test_perf_costmodel(save_report):
     style_idx = np.full(batch_n, STYLE_INDEX["dla"], dtype=np.int64)
     pes = rng.integers(1, 600, size=batch_n)
     l1 = rng.integers(1, 12_000, size=batch_n)
+    mix_style_idx = rng.integers(0, 3, size=batch_n)
 
-    def _time_kernel(fn):
-        fn()  # warm scratch buffers / JIT before the clock starts
+    def _time_kernel(styles):
+        def run():
+            evaluate_batch_kernel(DEFAULT_HW, table, layer_idx, styles,
+                                  pes, l1)
+
+        run()  # warm the allocator before the clock starts
         best = float("inf")
         gc.collect()
         for _ in range(KERNEL_REPEATS):
             started = time.perf_counter()
-            fn()
+            run()
             best = min(best, time.perf_counter() - started)
         return best
 
-    kernel_batched_s = _time_kernel(lambda: evaluate_with_kernel(
-        "batched", DEFAULT_HW, table, layer_idx, style_idx, pes, l1))
-
-    kernel_rows = [["batched kernel", f"{kernel_batched_s * 1e3:.3f}", ""]]
-    kernel_speedups = {}
-    kinds = ["fused", "fused32"] + (["fused-jit"] if numba_available()
-                                    else [])
-    for kind in kinds:
-        program = compile_program(DEFAULT_HW, table, kind)
-        seconds = _time_kernel(lambda: program.evaluate(
-            layer_idx, style_idx, pes, l1))
-        key = kind.replace("-", "_")
-        kernel_speedups[f"{key}_s"] = seconds
-        kernel_speedups[f"{key}_speedup_x"] = kernel_batched_s / seconds
-        kernel_rows.append([f"{kind} kernel", f"{seconds * 1e3:.3f}",
-                            f"{kernel_batched_s / seconds:.2f}x"])
-
-    # The fused float64 program must be bit-identical to the reference.
-    reference = evaluate_with_kernel("batched", DEFAULT_HW, table,
-                                     layer_idx, style_idx, pes, l1)
-    fused_program = compile_program(DEFAULT_HW, table, "fused")
-    fused_report = fused_program.evaluate(layer_idx, style_idx, pes, l1)
-    assert np.array_equal(reference.latency_cycles,
-                          fused_report.latency_cycles)
-    assert np.array_equal(reference.energy_nj, fused_report.energy_nj)
-
-    # ------------------------------------------------------------------
-    # MIX fast path: a batch mixing all three dataflow styles, where the
-    # fused program compacts each style's rows instead of planning every
-    # style over the full tensor (the old where-lattice ran ~0.66x the
-    # batched kernel here).
-    # ------------------------------------------------------------------
-    mix_style_idx = rng.integers(0, 3, size=batch_n)
-    mix_batched_s = _time_kernel(lambda: evaluate_with_kernel(
-        "batched", DEFAULT_HW, table, layer_idx, mix_style_idx, pes, l1))
-    mix_fused_s = _time_kernel(lambda: fused_program.evaluate(
-        layer_idx, mix_style_idx, pes, l1))
-    mix_speedup_x = mix_batched_s / mix_fused_s
-    kernel_rows.append(["batched kernel (MIX)",
-                        f"{mix_batched_s * 1e3:.3f}", ""])
-    kernel_rows.append(["fused kernel (MIX)", f"{mix_fused_s * 1e3:.3f}",
-                        f"{mix_speedup_x:.2f}x"])
-
-    mix_reference = evaluate_with_kernel(
-        "batched", DEFAULT_HW, table, layer_idx, mix_style_idx, pes, l1)
-    mix_report = fused_program.evaluate(layer_idx, mix_style_idx, pes, l1)
-    assert np.array_equal(mix_reference.latency_cycles,
-                          mix_report.latency_cycles)
-    assert np.array_equal(mix_reference.energy_nj, mix_report.energy_nj)
-    assert np.array_equal(mix_reference.tile_k, mix_report.tile_k)
+    kernel_batched_s = _time_kernel(style_idx)
+    mix_batched_s = _time_kernel(mix_style_idx)
+    kernel_rows = [["batched kernel", f"{kernel_batched_s * 1e3:.3f}"],
+                   ["batched kernel (MIX)", f"{mix_batched_s * 1e3:.3f}"]]
 
     payload = {
         "scalar_s": scalar_s,
@@ -177,9 +126,6 @@ def test_perf_costmodel(save_report):
         "speedup": speedup,
         "kernel_batched_s": kernel_batched_s,
         "mix_batched_s": mix_batched_s,
-        "mix_fused_s": mix_fused_s,
-        "mix_speedup_x": mix_speedup_x,
-        **kernel_speedups,
     }
     (REPO_ROOT / "BENCH_costmodel.json").write_text(
         json.dumps(payload, indent=2) + "\n")
@@ -197,19 +143,11 @@ def test_perf_costmodel(save_report):
               f"points, cold cache",
     ))
     save_report("perf_costmodel_kernels", format_table(
-        ["kernel", "wall time (ms)", "vs batched"],
+        ["kernel", "wall time (ms)"],
         kernel_rows,
-        title=f"Kernel-level -- one dla batch of {batch_n} points",
+        title=f"Kernel-level -- one batch of {batch_n} points",
     ))
 
     assert speedup >= 10.0, (
         f"batched path only {speedup:.1f}x faster than the scalar loop"
-    )
-    assert kernel_speedups["fused_speedup_x"] >= 1.5, (
-        f"fused program only {kernel_speedups['fused_speedup_x']:.2f}x "
-        f"faster than the batched kernel"
-    )
-    assert mix_speedup_x >= 1.0, (
-        f"fused MIX path only {mix_speedup_x:.2f}x the batched kernel "
-        f"on a mixed-style batch"
     )

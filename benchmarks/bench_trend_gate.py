@@ -38,8 +38,6 @@ import sys
 #: list when a bench starts recording a new ratio worth protecting.
 GATED_METRICS = [
     ("BENCH_costmodel.json", "speedup"),
-    ("BENCH_costmodel.json", "fused_speedup_x"),
-    ("BENCH_costmodel.json", "mix_speedup_x"),
     ("BENCH_rl.json", "speedup_envs_8"),
     ("BENCH_parallel.json", "speedup_process_4"),
     ("BENCH_parallel.json", "speedup_distributed_4"),

@@ -159,7 +159,6 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
             dispatch_min_batch=args.dispatch_min_batch,
             envs=args.envs,
             task_timeout_s=args.task_timeout_s,
-            kernel=args.kernel,
             autotune=args.autotune,
         )
     except ValueError as error:
@@ -271,7 +270,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             keep_alive=True,
             min_batch_per_worker=first.resolved_dispatch_min_batch(),
             task_timeout_s=first.resolved_task_timeout_s(),
-            kernel=first.resolved_kernel(),
             autotune=first.resolved_autotune(),
             auto_dispatch=first.dispatch_is_auto())]
     try:
@@ -310,7 +308,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         workers=args.workers,
         nodes=args.nodes,
-        kernel=args.kernel,
         progress_every=args.progress_every,
     )
     transport = start_transport(server, host=args.host, port=args.port,
@@ -525,16 +522,6 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "bit-identical to scalar stepping, >1 is a "
                              "faster, reproducible scenario -- see "
                              "BENCH_rl.json)")
-    parser.add_argument("--kernel", default=None,
-                        choices=["batched", "fused", "fused32",
-                                 "fused-jit", "auto"],
-                        help="cost-model compute kernel (default: "
-                             "$REPRO_KERNEL or batched; fused is "
-                             "bit-identical and faster, fused32 trades "
-                             "~1e-7 relative error for more speed, "
-                             "fused-jit needs numba installed, auto "
-                             "micro-probes batched vs fused at session "
-                             "start -- see PERFORMANCE.md)")
     parser.add_argument("--autotune", action="store_true", default=None,
                         help="profile-guided shard planning: size "
                              "initial shards to each worker/node's "
@@ -608,11 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nodes", type=int, default=None,
                        help="node-fleet size for --executor distributed "
                             "(default: $REPRO_NODES or 2)")
-    serve.add_argument("--kernel", default=None,
-                       choices=["batched", "fused", "fused32",
-                                "fused-jit"],
-                       help="cost-model compute kernel for the shared "
-                            "pool (default: $REPRO_KERNEL or batched)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="result-cache root (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro/results)")

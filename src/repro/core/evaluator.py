@@ -313,44 +313,27 @@ class DesignPointEvaluator:
         population, num_layers = pes.shape
         layer_idx = np.tile(np.arange(num_layers, dtype=np.int64),
                             population)
-        constraint = self.constraint
-        fold = None
-        if isinstance(constraint, PlatformConstraint):
-            # Fused kernels fold the population reductions and the
-            # budget comparison into the epilogue (bit-identical to the
-            # post-pass below); fold is None whenever that fast path
-            # does not apply and we reduce the report here as before.
-            batch, fold = self.cost_model.batched.evaluate_constrained(
-                self._table, layer_idx, style_idx.reshape(-1),
-                pes.reshape(-1), l1_bytes.reshape(-1),
-                self.deployment, constraint.kind, constraint.budget)
-        else:
-            batch = self.cost_model.batched.evaluate(
-                self._table, layer_idx, style_idx.reshape(-1),
-                pes.reshape(-1), l1_bytes.reshape(-1))
+        batch = self.cost_model.batched.evaluate(
+            self._table, layer_idx, style_idx.reshape(-1),
+            pes.reshape(-1), l1_bytes.reshape(-1))
 
-        if fold is not None:
-            latency_total = fold.latency_total
-            energy_total = fold.energy_total
-            area_total = fold.area_total
-            power_total = fold.power_total
+        latency = batch.latency_cycles.reshape(population, num_layers)
+        energy = batch.energy_nj.reshape(population, num_layers)
+        area = batch.area_um2.reshape(population, num_layers)
+        power = batch.power_mw.reshape(population, num_layers)
+        latency_total = ordered_row_sum(latency)
+        energy_total = ordered_row_sum(energy)
+        if self.deployment == "ls":
+            area_total = area.max(axis=1)
+            power_total = power.max(axis=1)
         else:
-            latency = batch.latency_cycles.reshape(population, num_layers)
-            energy = batch.energy_nj.reshape(population, num_layers)
-            area = batch.area_um2.reshape(population, num_layers)
-            power = batch.power_mw.reshape(population, num_layers)
-            latency_total = ordered_row_sum(latency)
-            energy_total = ordered_row_sum(energy)
-            if self.deployment == "ls":
-                area_total = area.max(axis=1)
-                power_total = power.max(axis=1)
-            else:
-                area_total = ordered_row_sum(area)
-                power_total = ordered_row_sum(power)
+            area_total = ordered_row_sum(area)
+            power_total = ordered_row_sum(power)
         cost = np.asarray(self.objective.evaluate(CostTotals(
             latency_total, energy_total, area_total, power_total)),
             dtype=np.float64)
 
+        constraint = self.constraint
         if isinstance(constraint, ResourceConstraint):
             if self.deployment == "ls":
                 total_pes = pes[:, 0]
@@ -361,9 +344,6 @@ class DesignPointEvaluator:
             feasible = ((total_pes <= constraint.max_pes)
                         & (total_l1 <= constraint.max_l1_bytes))
             used = total_pes.astype(np.float64)
-        elif fold is not None:
-            used = fold.used
-            feasible = fold.feasible
         else:
             used = area_total if constraint.kind == "area" else power_total
             feasible = used <= constraint.budget

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -34,12 +35,6 @@ from repro.costmodel.dataflow import (
     BatchDims,
     get_dataflow,
 )
-from repro.costmodel.fused import (
-    ConstraintFold,
-    LRUCache,
-    compile_program,
-    resolve_kernel,
-)
 from repro.costmodel.report import BatchCostReport, objective_totals
 from repro.models.layers import Layer, LayerType
 
@@ -47,11 +42,9 @@ __all__ = [
     "BATCH_STYLES",
     "STYLE_INDEX",
     "BatchedCostModel",
-    "ConstraintFold",
+    "LRUCache",
     "LayerTable",
     "evaluate_batch_kernel",
-    "evaluate_with_kernel",
-    "fused_program",
     "objective_totals",
     "ordered_row_sum",
     "table_token",
@@ -76,12 +69,51 @@ def ordered_row_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
+class LRUCache:
+    """A small, thread-safe least-recently-used mapping.
+
+    Bounds the single-layer ``LayerTable`` cache, so long-lived
+    ``repro serve`` processes sweeping many models never grow without
+    bound.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._data: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            try:
+                self._data.move_to_end(key)
+                return self._data[key]
+            except KeyError:
+                return default
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._data
+
 
 
 # Monotonic table identity.  ``id(table)`` is recycled by the allocator
-# the moment a table is garbage-collected, so a cache keyed on it could
-# serve a *stale* compiled program to an unrelated new table at the same
-# address.  Tokens are assigned once per table, never reused.
+# the moment a table is garbage-collected, so a worker keyed on it could
+# evaluate a batch against a *stale* table shipped for an unrelated new
+# table at the same address.  Tokens are assigned once per table, never
+# reused.
 _TABLE_TOKENS = itertools.count(1)
 _TABLE_TOKEN_LOCK = threading.Lock()
 
@@ -90,8 +122,8 @@ def table_token(table: "LayerTable") -> int:
     """A process-unique, never-recycled identity for ``table``.
 
     Lazily stamped on first use (``LayerTable`` is frozen, so the stamp
-    goes through ``object.__setattr__``); all program caches key on this
-    instead of ``id(table)``.
+    goes through ``object.__setattr__``); the execution backends key the
+    tables they ship to workers on this instead of ``id(table)``.
     """
     token = getattr(table, "_token", None)
     if token is None:
@@ -276,57 +308,6 @@ def evaluate_batch_kernel(
     )
 
 
-def evaluate_with_kernel(
-    kernel: str,
-    hw: HardwareConfig,
-    table: LayerTable,
-    layer_idx: np.ndarray,
-    style_idx: np.ndarray,
-    pes: np.ndarray,
-    l1_bytes: np.ndarray,
-    programs: LRUCache = None,
-) -> BatchCostReport:
-    """Dispatch one validated batch to the requested kernel.
-
-    ``"batched"`` runs :func:`evaluate_batch_kernel` directly; the fused
-    kinds look up (or compile) the per-``(table, kernel)``
-    :class:`~repro.costmodel.fused.FusedProgram` in ``programs`` and run
-    it.  The cache key is ``(table_token(table), kernel)`` -- a
-    monotonically assigned identity that, unlike ``id(table)``, is never
-    recycled when a table is garbage-collected, so a new table can never
-    inherit a stale program.  The identity staleness check stays as a
-    belt-and-braces guard for hand-built cache entries.
-
-    Every kernel shares :func:`evaluate_batch_kernel`'s shard
-    invariance, which is what lets the execution backends cache one
-    compiled program per worker and reuse it for every shard.
-    """
-    if kernel == "batched":
-        return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
-                                     pes, l1_bytes)
-    program = fused_program(kernel, hw, table, programs)
-    return program.evaluate(layer_idx, style_idx, pes, l1_bytes)
-
-
-def fused_program(kernel: str, hw: HardwareConfig, table: LayerTable,
-                  programs: LRUCache = None):
-    """The compiled :class:`~repro.costmodel.fused.FusedProgram` for
-    ``(hw, table, kernel)``, looked up in (or compiled into) the
-    ``programs`` cache keyed ``(table_token(table), kernel)``."""
-    program = None
-    key = (table_token(table), kernel)
-    if programs is not None:
-        program = programs.get(key)
-        if program is not None and (program.table is not table
-                                    or program.hw is not hw):
-            program = None
-    if program is None:
-        program = compile_program(hw, table, kernel)
-        if programs is not None:
-            programs.put(key, program)
-    return program
-
-
 class BatchedCostModel:
     """Vectorized counterpart of :class:`~repro.costmodel.CostModel`.
 
@@ -341,23 +322,13 @@ class BatchedCostModel:
     """
 
     def __init__(self, hw: HardwareConfig = DEFAULT_HW,
-                 executor=None, kernel: str = None) -> None:
+                 executor=None) -> None:
         self.hw = hw
         #: Optional :class:`~repro.parallel.ExecutionBackend`; ``None``
         #: runs the kernel in-process.
         self.executor = executor
-        #: Which compute kernel in-process batches run (``"batched"``,
-        #: ``"fused"``, ``"fused32"``, ``"fused-jit"``); ``None``
-        #: resolves ``$REPRO_KERNEL`` then the batched default.  An
-        #: attached executor applies its own (identically resolved)
-        #: kernel setting worker-side.
-        self.kernel = resolve_kernel(kernel)
-        # Compiled fused programs, keyed (table_token(table), kernel).
-        # Bounded: a long-lived model may see many tables over its
-        # lifetime.
-        self._programs = LRUCache(8)
-        # Single-layer tables for evaluate_layer_batch sweeps.  Also
-        # bounded: serve processes sweeping many models would otherwise
+        # Single-layer tables for evaluate_layer_batch sweeps.  Bounded:
+        # serve processes sweeping many models would otherwise
         # grow this per distinct Layer forever.
         self._single_tables = LRUCache(16)
 
@@ -389,46 +360,23 @@ class BatchedCostModel:
         if self.executor is not None:
             return self.executor.evaluate(self.hw, table, layer_idx,
                                           style_idx, pes, l1_bytes)
-        return evaluate_with_kernel(self.kernel, self.hw, table, layer_idx,
-                                    style_idx, pes, l1_bytes,
-                                    programs=self._programs)
+        return evaluate_batch_kernel(self.hw, table, layer_idx, style_idx,
+                                     pes, l1_bytes)
 
     # ------------------------------------------------------------------
+    # Kept for the benchmark's tracer, which wraps this name.
     def evaluate_constrained(self, table: LayerTable, layer_idx, style_idx,
                              pes, l1_bytes, deployment: str, kind: str,
                              budget: float):
-        """Evaluate a batch, folding the platform budget check into the
-        fused epilogue when possible.
-
-        Returns ``(report, fold)``.  ``report`` is always bit-identical
-        to :meth:`evaluate` on the same batch.  ``fold`` is a
-        :class:`~repro.costmodel.fused.ConstraintFold` carrying the
-        population totals plus ``used``/``feasible`` -- or ``None``
-        whenever the fold is unavailable (an executor shards the batch
-        across workers, the kernel has no fused epilogue, or the batch
-        is not in the tiled population layout), in which case callers
-        run their usual reduction post-pass over the report.
-        """
-        layer_idx, style_idx, pes, l1_bytes = self._validate(
-            table, layer_idx, style_idx, pes, l1_bytes)
-        if self.executor is not None:
-            return (self.executor.evaluate(self.hw, table, layer_idx,
-                                           style_idx, pes, l1_bytes), None)
-        if self.kernel not in ("fused", "fused32"):
-            return (evaluate_with_kernel(self.kernel, self.hw, table,
-                                         layer_idx, style_idx, pes,
-                                         l1_bytes,
-                                         programs=self._programs), None)
-        program = fused_program(self.kernel, self.hw, table, self._programs)
-        return program.evaluate_constrained(layer_idx, style_idx, pes,
-                                            l1_bytes, deployment, kind,
-                                            budget)
+        """:meth:`evaluate` paired with ``None``: ``(report, None)``."""
+        return self.evaluate(table, layer_idx, style_idx, pes,
+                             l1_bytes), None
 
     # ------------------------------------------------------------------
     @staticmethod
     def _validate(table: LayerTable, layer_idx, style_idx, pes, l1_bytes):
-        """Coerce and validate one batch (shared by both evaluate
-        entry points); returns the canonical int64 arrays."""
+        """Coerce and validate one batch; returns the canonical int64
+        arrays."""
         layer_idx = np.asarray(layer_idx, dtype=np.int64)
         pes = np.asarray(pes, dtype=np.int64)
         l1_bytes = np.asarray(l1_bytes, dtype=np.int64)

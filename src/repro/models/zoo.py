@@ -147,7 +147,7 @@ def gnmt(seq_len: int = 128, hidden: int = 1024,
     """GNMT: the dense GEMMs of an 8+8 layer LSTM encoder/decoder with
     attention and an output projection.
 
-    Each LSTM layer contributes one fused gate GEMM of shape
+    Each LSTM layer contributes one stacked gate GEMM of shape
     (4*hidden) x (2*hidden) applied to every token.
     """
     layers: List[Layer] = []

@@ -154,9 +154,9 @@ class MLP(Module):
 
 
 class LSTMCell(Module):
-    """A single LSTM cell with fused gate weights.
+    """A single LSTM cell with stacked gate weights.
 
-    Gate order in the fused matrices: input, forget, cell, output.  The
+    Gate order in the stacked matrices: input, forget, cell, output.  The
     forget-gate bias starts at 1.0, the standard trick for gradient flow
     over the ~50-step episodes of the larger models.
     """

@@ -30,10 +30,9 @@ work; this package shards that unit across execution backends:
   :class:`~repro.parallel.tuning.ThroughputModel` (per-worker EWMA of
   rows/sec from shard timing echoes), :class:`~repro.parallel.tuning
   .ShardPlanner` (initial shard spans proportional to measured rates),
-  break-even calibration (``dispatch_min_batch="auto"``), and kernel
-  auto-selection (``kernel="auto"``) -- all behind
-  ``SearchSpec.autotune`` / ``$REPRO_AUTOTUNE``.  Scheduling only:
-  results stay bit-identical with tuning on or off.
+  and break-even calibration (``dispatch_min_batch="auto"``) -- all
+  behind ``SearchSpec.autotune`` / ``$REPRO_AUTOTUNE``.  Scheduling
+  only: results stay bit-identical with tuning on or off.
 
 Every backend is bit-identical to the serial kernel -- crash-free,
 recovered, or degraded -- the determinism suite in
@@ -81,7 +80,6 @@ from repro.parallel.tuning import (
     ThroughputModel,
     TuningState,
     default_autotune,
-    select_kernel,
 )
 
 __all__ = [
@@ -118,7 +116,6 @@ __all__ = [
     "default_workers",
     "make_backend",
     "run_worker_agent",
-    "select_kernel",
     "shard_bounds",
     "worker_agent_main",
 ]

@@ -54,11 +54,9 @@ import numpy as np
 from repro.costmodel.batched import (
     LayerTable,
     evaluate_batch_kernel,
-    evaluate_with_kernel,
     table_token,
 )
 from repro.costmodel.constants import HardwareConfig
-from repro.costmodel.fused import LRUCache, resolve_kernel
 from repro.costmodel.report import BatchCostReport
 from repro.parallel.errors import (
     ExecutionError,
@@ -223,13 +221,6 @@ class ExecutionBackend:
             ``compare_methods``, the CLI) resolve the adaptive default.
             Sharding never changes results, so neither does the
             fallback.
-        kernel: Cost-model compute kernel ("batched" | "fused" |
-            "fused32" | "fused-jit"); ``None`` resolves
-            ``$REPRO_KERNEL`` then the batched default.  Every shard --
-            in-process fallback, thread shard, worker process -- runs
-            the same kernel, and the fused kinds are shard-invariant
-            like the batched engine, so sharding still never changes
-            results.
         tuner: Optional :class:`~repro.parallel.tuning.TuningState`.
             When set, completed shards feed its throughput model, its
             planner sizes initial shards, and (``auto_dispatch``) its
@@ -241,22 +232,14 @@ class ExecutionBackend:
     name = "base"
 
     def __init__(self, workers: int = 1,
-                 min_batch_per_worker: int = 0,
-                 kernel: str = None, tuner=None) -> None:
+                 min_batch_per_worker: int = 0, tuner=None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if min_batch_per_worker < 0:
             raise ValueError("min_batch_per_worker must be >= 0")
         self.workers = workers
         self.min_batch_per_worker = min_batch_per_worker
-        self.kernel = resolve_kernel(kernel)
         self.tuner = tuner
-        # Compiled fused programs for in-process evaluation (the serial
-        # backend, the thread shards, and the parallel backends'
-        # below-break-even fallback).  Keyed (table_token(table),
-        # kernel); bounded, and safe to share across threads (the LRU
-        # locks, the programs keep per-thread scratch).
-        self._programs = LRUCache(8)
         #: Dispatch counters: how many batches ran in-process vs sharded
         #: (observability for the adaptive fallback; never affects
         #: results).
@@ -299,13 +282,6 @@ class ExecutionBackend:
         if self.tuner is not None:
             self.tuner.observe(self.name, key, rows, elapsed_s)
 
-    def _run_kernel(self, hw, table, layer_idx, style_idx, pes,
-                    l1_bytes) -> BatchCostReport:
-        """Run one (sub-)batch in-process through this backend's kernel."""
-        return evaluate_with_kernel(self.kernel, hw, table, layer_idx,
-                                    style_idx, pes, l1_bytes,
-                                    programs=self._programs)
-
     def evaluate(self, hw: HardwareConfig, table: LayerTable,
                  layer_idx: np.ndarray, style_idx: np.ndarray,
                  pes: np.ndarray, l1_bytes: np.ndarray) -> BatchCostReport:
@@ -336,8 +312,8 @@ class SerialBackend(ExecutionBackend):
 
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
-        return self._run_kernel(hw, table, layer_idx, style_idx, pes,
-                                l1_bytes)
+        return evaluate_batch_kernel(hw, table, layer_idx, style_idx, pes,
+                                     l1_bytes)
 
 
 def _concat_reports(parts: Sequence[BatchCostReport]) -> BatchCostReport:
@@ -366,9 +342,8 @@ class ThreadBackend(ExecutionBackend):
     def __init__(self, workers: int = 1,
                  min_batch_per_worker: int = 0,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None, tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, kernel=kernel,
-                         tuner=tuner)
+                 tuner=None) -> None:
+        super().__init__(workers, min_batch_per_worker, tuner=tuner)
         self._pool: Optional[ThreadPoolExecutor] = None
         self.fault_plan = fault_plan
         self._fired_faults: set = set()
@@ -396,8 +371,8 @@ class ThreadBackend(ExecutionBackend):
     def _run_shard(self, owner, hw, table, layer_idx, style_idx, pes,
                    l1_bytes) -> BatchCostReport:
         start = time.perf_counter()
-        report = self._run_kernel(hw, table, layer_idx, style_idx, pes,
-                                  l1_bytes)
+        report = evaluate_batch_kernel(hw, table, layer_idx, style_idx,
+                                       pes, l1_bytes)
         self._observe_shard(owner, layer_idx.size,
                             time.perf_counter() - start)
         return report
@@ -408,8 +383,8 @@ class ThreadBackend(ExecutionBackend):
         if self.workers == 1 or batch < 2 or self._route_inline(batch):
             self.inline_batches += 1
             start = time.perf_counter()
-            report = self._run_kernel(hw, table, layer_idx, style_idx,
-                                      pes, l1_bytes)
+            report = evaluate_batch_kernel(hw, table, layer_idx,
+                                           style_idx, pes, l1_bytes)
             self._observe_route(batch, True, time.perf_counter() - start)
             return report
         bounds, owners = self._plan_shards(batch)
@@ -465,20 +440,15 @@ def _worker_main(worker_id: int, task_queue, result_queue,
     if faults:
         for batch_idx, seconds in faults["delay"]:
             delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
-    tables: Dict[int, Tuple[HardwareConfig, LayerTable, str]] = {}
-    # Compiled fused programs, one per shipped (table, kernel): compiled
-    # on the first shard that needs them, reused for every later shard
-    # of the session (the kernels are shard-invariant, so reuse can
-    # never change results).
-    programs = LRUCache(8)
+    tables: Dict[int, Tuple[HardwareConfig, LayerTable]] = {}
     while True:
         message = task_queue.get()
         if message is None:
             break
         kind = message[0]
         if kind == "load":
-            _, table_id, hw, layers, kernel = message
-            tables[table_id] = (hw, LayerTable.build(layers), kernel)
+            _, table_id, hw, layers = message
+            tables[table_id] = (hw, LayerTable.build(layers))
             continue
         _, task_id, segment_name, batch, lo, hi, table_id = message
         if task_id in kill_at:
@@ -495,17 +465,16 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                 raise FaultInjected(
                     f"injected fault in worker {worker_id} at batch "
                     f"{task_id}")
-            hw, table, kernel = tables[table_id]
+            hw, table = tables[table_id]
             block = BatchBlock.attach(segment_name, batch)
             try:
                 start = time.perf_counter()
-                report = evaluate_with_kernel(
-                    kernel, hw, table,
+                report = evaluate_batch_kernel(
+                    hw, table,
                     block.inputs["layer_idx"][lo:hi],
                     block.inputs["style_idx"][lo:hi],
                     block.inputs["pes"][lo:hi],
-                    block.inputs["l1_bytes"][lo:hi],
-                    programs=programs)
+                    block.inputs["l1_bytes"][lo:hi])
                 # The kernel time alone is the timing echo: queue wait
                 # and segment mapping are coordinator-side costs, and
                 # including them would make a busy worker look slow and
@@ -588,9 +557,8 @@ class ProcessBackend(ExecutionBackend):
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None, tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, kernel=kernel,
-                         tuner=tuner)
+                 tuner=None) -> None:
+        super().__init__(workers, min_batch_per_worker, tuner=tuner)
         import multiprocessing
 
         if start_method is None:
@@ -729,12 +697,10 @@ class ProcessBackend(ExecutionBackend):
         table_id = table_token(table)
         self._tables[table_id] = table
         if table_id not in self._shipped[worker_id]:
-            # The kernel rides the load message: the worker compiles its
-            # fused program once per (table, kernel) and reuses it for
-            # every shard (respawned workers are re-shipped on demand
-            # and recompile -- programs are derived state, never lost).
+            # A respawned worker starts empty and is re-shipped on
+            # demand.
             self._task_queues[worker_id].put(
-                ("load", table_id, hw, table.layers, self.kernel))
+                ("load", table_id, hw, table.layers))
             self._shipped[worker_id].add(table_id)
         return table_id
 
@@ -753,8 +719,8 @@ class ProcessBackend(ExecutionBackend):
             # changes.  An idle pool stays warm for the next big batch.
             self.inline_batches += 1
             start = time.perf_counter()
-            report = self._run_kernel(hw, table, layer_idx, style_idx,
-                                      pes, l1_bytes)
+            report = evaluate_batch_kernel(hw, table, layer_idx,
+                                           style_idx, pes, l1_bytes)
             self._observe_route(batch, True, time.perf_counter() - start)
             return report
         self.sharded_batches += 1
@@ -984,7 +950,6 @@ class ResilientBackend(ExecutionBackend):
     def __init__(self, inner: ExecutionBackend, degrade_after: int = 1,
                  on_degrade=None) -> None:
         super().__init__(inner.workers, inner.min_batch_per_worker,
-                         kernel=inner.kernel,
                          tuner=getattr(inner, "tuner", None))
         if degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
@@ -1049,11 +1014,11 @@ class ResilientBackend(ExecutionBackend):
                 # The tuner rides down the ladder: rates measured on
                 # the failed rung are keyed by (transport, slot), so
                 # the new rung starts fresh while the calibrated
-                # crossovers and kernel record survive.
+                # crossovers survive.
                 self.inner = make_backend(
                     next_name, self.workers, self.min_batch_per_worker,
                     fault_plan=getattr(self.inner, "fault_plan", None),
-                    kernel=self.kernel, tuner=self.tuner)
+                    tuner=self.tuner)
                 self.degraded_to = next_name
                 self._failures_at_rung = 0
                 if self.on_degrade is not None:
@@ -1080,7 +1045,6 @@ def make_backend(executor: str, workers: Optional[int] = None,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: Optional[str] = None,
                  tuner=None) -> ExecutionBackend:
     """Build a backend by name ("serial" | "thread" | "process" |
     "chaos").
@@ -1091,8 +1055,6 @@ def make_backend(executor: str, workers: Optional[int] = None,
     does the fault-tolerance knobs.  ``chaos`` is the process backend
     with a :class:`~repro.parallel.faults.FaultPlan` always attached:
     ``fault_plan``, else ``$REPRO_FAULTS``, else a default seeded plan.
-    ``kernel`` picks the cost-model compute kernel everywhere the
-    backend evaluates (``None``: ``$REPRO_KERNEL`` or "batched").
     ``tuner`` is an optional shared
     :class:`~repro.parallel.tuning.TuningState`; the coordinator passes
     one instance through every backend it builds (downshifts included)
@@ -1108,7 +1070,7 @@ def make_backend(executor: str, workers: Optional[int] = None,
         return DistributedBackend(
             nodes=workers, min_batch_per_worker=min_batch_per_worker,
             task_timeout_s=task_timeout_s, max_retries=max_retries,
-            fault_plan=fault_plan, kernel=kernel, tuner=tuner)
+            fault_plan=fault_plan, tuner=tuner)
     try:
         cls = _BACKENDS[executor]
     except KeyError:
@@ -1117,13 +1079,13 @@ def make_backend(executor: str, workers: Optional[int] = None,
             f"{', '.join(EXECUTORS)}") from None
     workers = default_workers() if workers is None else workers
     if cls is SerialBackend:
-        return cls(workers=workers, kernel=kernel)
+        return cls(workers=workers)
     if cls is ThreadBackend:
         return cls(workers=workers,
                    min_batch_per_worker=min_batch_per_worker,
-                   fault_plan=fault_plan, kernel=kernel, tuner=tuner)
+                   fault_plan=fault_plan, tuner=tuner)
     if executor == "chaos" and fault_plan is None:
         fault_plan = FaultPlan.from_env() or FaultPlan.seeded(0)
     return cls(workers=workers, min_batch_per_worker=min_batch_per_worker,
                task_timeout_s=task_timeout_s, max_retries=max_retries,
-               fault_plan=fault_plan, kernel=kernel, tuner=tuner)
+               fault_plan=fault_plan, tuner=tuner)

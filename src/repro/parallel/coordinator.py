@@ -168,9 +168,6 @@ class ParallelCoordinator(SearchObserver):
         degrade: Wrap the backend in the process -> thread -> serial
             degradation ladder (on by default; turn off to let retry
             exhaustion raise instead -- what the parity tests do).
-        kernel: Cost-model compute kernel forwarded to the backend --
-            and by it to every worker (``None``: ``$REPRO_KERNEL`` or
-            "batched"; see :mod:`repro.costmodel.fused`).
         autotune: Adaptive shard planning -- shard spans sized to each
             worker/node's measured rows/sec (EWMA over shard timing
             echoes).  Scheduling only; results stay bit-identical (the
@@ -191,7 +188,6 @@ class ParallelCoordinator(SearchObserver):
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  degrade: bool = True,
-                 kernel: Optional[str] = None,
                  autotune: bool = False,
                  auto_dispatch: bool = False) -> None:
         super().__init__()
@@ -204,7 +200,6 @@ class ParallelCoordinator(SearchObserver):
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.degrade = degrade
-        self.kernel = kernel
         #: One tuning state for the coordinator's whole lifetime: rates
         #: are keyed (transport, slot), so they survive ladder
         #: downshifts, worker respawns, and keep-alive session reuse.
@@ -248,7 +243,6 @@ class ParallelCoordinator(SearchObserver):
                     task_timeout_s=self.task_timeout_s,
                     max_retries=self.max_retries,
                     fault_plan=self.fault_plan,
-                    kernel=self.kernel,
                     tuner=self.tuner)
                 if self.degrade and inner.name != "serial":
                     self.backend = ResilientBackend(

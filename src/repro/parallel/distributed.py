@@ -20,14 +20,14 @@ direction    message
 ===========  =========================================================
 node -> co   ``("hello", version, slot_or_None, name, cpus)``
 co -> node   ``("welcome", slot, faults_or_None)``
-co -> node   ``("load", table_id, hw, layers, kernel)``
+co -> node   ``("load", table_id, hw, layers)``
 co -> node   ``("eval", task_id, lo, hi, table_id, inputs)``
 node -> co   ``("ok" | "fault" | "error", task_id, lo, hi, payload,
 node -> co   elapsed_s)``
 co -> node   ``("exit",)``
 ===========  =========================================================
 
-``load`` ships a ``(LayerTable, kernel)`` pair once per (node, table);
+``load`` ships a ``LayerTable`` once per (node, table);
 a node that reconnects (or is respawned after a kill) starts with an
 empty cache and is **re-shipped on demand** -- the same contract the
 process backend's respawn path established, surfaced in the ``reships``
@@ -89,10 +89,9 @@ import numpy as np
 
 from repro.costmodel.batched import (
     LayerTable,
-    evaluate_with_kernel,
+    evaluate_batch_kernel,
     table_token,
 )
-from repro.costmodel.fused import LRUCache
 from repro.costmodel.report import BatchCostReport
 from repro.parallel.backend import (
     ExecutionBackend,
@@ -120,8 +119,9 @@ __all__ = [
 
 #: Wire protocol version carried in the hello frame; a mismatch is a
 #: deployment error (mixed checkouts), rejected at handshake.
-#: Version 2 added the per-shard ``elapsed_s`` timing echo to replies.
-PROTOCOL_VERSION = 2
+#: Version 2 added the per-shard ``elapsed_s`` timing echo to replies;
+#: version 3 dropped the kernel name from ``load``.
+PROTOCOL_VERSION = 3
 
 #: Node count when neither ``nodes=`` nor ``$REPRO_NODES`` is given.
 #: Two keeps the default fleet cheap (each node is a full process) while
@@ -243,8 +243,7 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
     if faults:
         for batch_idx, seconds in faults["delay"]:
             delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
-    tables: Dict[int, Tuple[object, LayerTable, str]] = {}
-    programs = LRUCache(8)
+    tables: Dict[int, Tuple[object, LayerTable]] = {}
     while True:
         try:
             message = recv_frame(sock)
@@ -254,8 +253,8 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
         if kind == "exit":
             return "exit"
         if kind == "load":
-            _, table_id, hw, layers, kernel = message
-            tables[table_id] = (hw, LayerTable.build(layers), kernel)
+            _, table_id, hw, layers = message
+            tables[table_id] = (hw, LayerTable.build(layers))
             continue
         _, task_id, lo, hi, table_id, inputs = message
         if task_id in kill_at:
@@ -272,7 +271,7 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
                 raise FaultInjected(
                     f"injected fault on node {name or _slot} at batch "
                     f"{task_id}")
-            hw, table, kernel = tables[table_id]
+            hw, table = tables[table_id]
             # Time the kernel only: queue wait and (un)framing are
             # coordinator- and transport-side costs; charging them here
             # would make a starved node look slow and starve it further.
@@ -280,11 +279,10 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
             # charged: the throughput model must see the slow node the
             # adaptive plan routes around.
             start = time.perf_counter()
-            report = evaluate_with_kernel(
-                kernel, hw, table,
+            report = evaluate_batch_kernel(
+                hw, table,
                 inputs["layer_idx"], inputs["style_idx"],
-                inputs["pes"], inputs["l1_bytes"],
-                programs=programs)
+                inputs["pes"], inputs["l1_bytes"])
             elapsed = time.perf_counter() - start + delay
             reply = ("ok", task_id, lo, hi,
                      {field: getattr(report, field)
@@ -463,7 +461,7 @@ class DistributedBackend(ExecutionBackend):
             distributed transport has the highest per-batch cost of the
             ladder, so its spec-resolved default is the largest.
         max_retries / backoff_base_s / task_timeout_s / fault_plan /
-            kernel / tuner: Exactly the process backend's knobs; the
+            tuner: Exactly the process backend's knobs; the
             tuner (a ``TuningState``) keys node throughput by slot, so
             rates survive respawns and reconnects.
         steal: Pull-based work stealing (default).  ``False`` restores
@@ -475,7 +473,7 @@ class DistributedBackend(ExecutionBackend):
 
     Attributes:
         stolen_shards: Shards executed off their static owner.
-        reships: ``(table, kernel)`` payloads re-shipped to a node that
+        reships: Tables re-shipped to a node that
             already had them on a previous connection (respawn or
             reconnect).
         fleet_nodes: Peak number of simultaneously connected nodes.
@@ -492,14 +490,12 @@ class DistributedBackend(ExecutionBackend):
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 kernel: str = None,
                  steal: bool = True,
                  shards_per_node: int = 4,
                  connect_timeout_s: float = 30.0,
                  tuner=None) -> None:
         nodes = default_nodes() if nodes is None else nodes
-        super().__init__(nodes, min_batch_per_worker, kernel=kernel,
-                         tuner=tuner)
+        super().__init__(nodes, min_batch_per_worker, tuner=tuner)
         if shards_per_node < 1:
             raise ValueError("shards_per_node must be >= 1")
         self.nodes = nodes
@@ -587,10 +583,12 @@ class DistributedBackend(ExecutionBackend):
             try:
                 conn.settimeout(10)
                 hello = recv_frame(conn)
-                kind, version, slot, name, _cpus = hello
-                if kind != "hello" or version != PROTOCOL_VERSION:
+                if (not isinstance(hello, tuple) or len(hello) != 5
+                        or hello[0] != "hello"
+                        or hello[1] != PROTOCOL_VERSION):
                     conn.close()
                     continue
+                _, _, slot, name, _cpus = hello
                 with self._lock:
                     if slot is None or slot in self._registry:
                         slot = 0
@@ -604,7 +602,10 @@ class DistributedBackend(ExecutionBackend):
                 # SO_REUSEADDR their FIN_WAIT remnants block a later
                 # backend from rebinding a fixed $REPRO_BIND address.
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            except (ConnectionError, OSError, ValueError):
+            except Exception:  # noqa: BLE001 - only this peer failed
+                # Any failure during one peer's handshake (a truncated
+                # or corrupt frame, a payload of the wrong shape) drops
+                # that connection; the loop must keep accepting others.
                 try:
                     conn.close()
                 except OSError:
@@ -705,8 +706,7 @@ class DistributedBackend(ExecutionBackend):
                 self.reships += 1
             else:
                 ever.add(table_id)
-            send_frame(node.sock,
-                       ("load", table_id, hw, table.layers, self.kernel))
+            send_frame(node.sock, ("load", table_id, hw, table.layers))
             node.shipped.add(table_id)
         return table_id
 
@@ -737,8 +737,8 @@ class DistributedBackend(ExecutionBackend):
         if self._route_inline(layer_idx.size):
             self.inline_batches += 1
             start = time.perf_counter()
-            report = self._run_kernel(hw, table, layer_idx, style_idx,
-                                      pes, l1_bytes)
+            report = evaluate_batch_kernel(hw, table, layer_idx,
+                                           style_idx, pes, l1_bytes)
             self._observe_route(layer_idx.size, True,
                                 time.perf_counter() - start)
             return report

@@ -1,11 +1,11 @@
 """Profile-guided adaptive execution (ROADMAP item 2 follow-on).
 
 Every dispatch decision the execution backends make was static until
-now: uniform round-robin shard sizes, a hard-coded per-transport
-``TRANSPORT_MIN_BATCH`` break-even table, and a hand-picked kernel.
-This module closes the loop from the measurements the backends already
-take -- shard completion timestamps observed in their result-gather
-loops -- back into the next dispatch:
+now: uniform round-robin shard sizes and a hard-coded per-transport
+``TRANSPORT_MIN_BATCH`` break-even table.  This module closes the loop
+from the measurements the backends already take -- shard completion
+timestamps observed in their result-gather loops -- back into the next
+dispatch:
 
 * :class:`ThroughputModel` -- a thread-safe EWMA of rows/sec per
   ``(transport, worker-or-node)`` key.  Keys are stable slot numbers,
@@ -20,27 +20,21 @@ loops -- back into the next dispatch:
 * :class:`BreakEvenCalibrator` -- ``dispatch_min_batch="auto"``: the
   first batches alternate inline vs sharded execution, timing both, and
   converge on a per-transport crossover instead of the static table.
-* :func:`select_kernel` -- ``kernel="auto"``: a one-shot micro-probe at
-  session start times the batched engine against the fused program on a
-  synthetic tiled batch and picks the faster of the two.  Only the
-  bit-identical kernels compete (``fused32`` trades accuracy and stays
-  opt-in), so auto-selection can never change results.
 * :class:`TuningState` -- the aggregate the
   :class:`~repro.parallel.ParallelCoordinator` owns and threads through
   ``make_backend`` into every backend, and whose :meth:`snapshot` lands
   in ``SessionResult.provenance["tuning"]``.
 
-Every decision here only moves shard boundaries, routes a batch inline
-vs sharded, or picks among bit-identical kernels.  The batched kernel
-is elementwise over the batch axis (shard-invariant), so results are
-bit-identical with tuning on or off -- the parity suites lock this.
+Every decision here only moves shard boundaries or routes a batch
+inline vs sharded.  The batched kernel is elementwise over the batch
+axis (shard-invariant), so results are bit-identical with tuning on or
+off -- the parity suites lock this.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +48,6 @@ __all__ = [
     "ThroughputModel",
     "TuningState",
     "default_autotune",
-    "select_kernel",
 ]
 
 #: Environment variable enabling autotuning when the spec leaves
@@ -276,66 +269,6 @@ class BreakEvenCalibrator:
                     for transport, state in self._state.items()}
 
 
-# ----------------------------------------------------------------------
-# Kernel auto-selection
-# ----------------------------------------------------------------------
-#: Only the bit-identical kernels compete under ``kernel="auto"``;
-#: ``fused32`` trades documented float32 error for speed and must stay
-#: an explicit opt-in.
-AUTO_KERNEL_CANDIDATES: Tuple[str, ...] = ("batched", "fused")
-
-_KERNEL_CACHE: Dict[object, Tuple[str, Dict[str, float]]] = {}
-_KERNEL_CACHE_LOCK = threading.Lock()
-
-
-def select_kernel(hw, table, cache_key=None, probe_rows: int = 2048,
-                  repeats: int = 3) -> Tuple[str, Dict[str, float]]:
-    """Pick the faster bit-identical kernel for ``(hw, table)``.
-
-    Runs a one-shot micro-probe: a synthetic tiled batch of about
-    ``probe_rows`` design points through each candidate, best of
-    ``repeats`` timings.  The choice is cached per ``cache_key``
-    (typically the session's (model, platform) identity) so repeated
-    sessions in one process pay the probe once.
-
-    Returns ``(kernel_name, {kernel: best_seconds})`` -- the timings go
-    into ``provenance["tuning"]["kernel"]``.
-    """
-    if cache_key is not None:
-        with _KERNEL_CACHE_LOCK:
-            cached = _KERNEL_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
-    from repro.costmodel.batched import evaluate_with_kernel
-
-    num_layers = len(table)
-    population = max(2, probe_rows // num_layers)
-    n = population * num_layers
-    layer_idx = np.tile(np.arange(num_layers, dtype=np.int64), population)
-    rng = np.arange(n, dtype=np.int64)
-    pes = (rng % 64) + 1
-    l1_bytes = ((rng % 32) + 1) * 16
-    style_idx = np.zeros(n, dtype=np.int64)
-    timings: Dict[str, float] = {}
-    for kernel in AUTO_KERNEL_CANDIDATES:
-        # Warm once outside the clock (program compilation, allocator).
-        evaluate_with_kernel(kernel, hw, table, layer_idx, style_idx,
-                             pes, l1_bytes)
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            evaluate_with_kernel(kernel, hw, table, layer_idx, style_idx,
-                                 pes, l1_bytes)
-            best = min(best, time.perf_counter() - start)
-        timings[kernel] = best
-    selected = min(AUTO_KERNEL_CANDIDATES, key=lambda k: timings[k])
-    result = (selected, timings)
-    if cache_key is not None:
-        with _KERNEL_CACHE_LOCK:
-            _KERNEL_CACHE[cache_key] = result
-    return result
-
-
 class TuningState:
     """The shared adaptive-execution state of one coordinator.
 
@@ -360,9 +293,6 @@ class TuningState:
         self.throughput = ThroughputModel(alpha=alpha)
         self.planner = ShardPlanner(self.throughput)
         self.calibrator = BreakEvenCalibrator()
-        #: ``{"selected": ..., "timings": {...}}`` once a session probes
-        #: ``kernel="auto"``.
-        self.kernel: Optional[dict] = None
         self._lock = threading.Lock()
         self._last_plan: Optional[dict] = None
         self._planned_batches = 0
@@ -422,5 +352,4 @@ class TuningState:
             "planned_batches": planned,
             "adaptive_plans": adaptive,
             "break_even": self.calibrator.snapshot(),
-            "kernel": self.kernel,
         }

@@ -37,12 +37,17 @@ def _executors():
     return EXECUTORS
 
 
-def _kernels():
-    """The canonical cost-model kernel names, owned by
-    :mod:`repro.costmodel.fused` (lazy for the same reason)."""
-    from repro.costmodel.fused import KERNELS
-
-    return KERNELS
+#: ``kernel`` values that documents saved before the field was removed
+#: may carry, mapped to why the key cannot simply be dropped (``None``:
+#: that kernel computed results bit-identical to the batched engine).
+_LEGACY_KERNELS = {
+    None: None,
+    "batched": None,
+    "fused": None,
+    "auto": None,
+    "fused32": "its float32 epilogue changed results",
+    "fused-jit": "it required numba",
+}
 
 
 @dataclass(frozen=True)
@@ -120,19 +125,6 @@ class SearchSpec:
             ``envs`` is part of the scenario identity, like ``seed``.
             Two-stage methods apply it to their global RL stage;
             genome-space methods ignore it.
-        kernel: Cost-model compute kernel for population-level
-            evaluation -- "batched" (the reference engine) | "fused"
-            (precompiled per-(model, platform) tensor programs,
-            float64 bit-identical) | "fused32" (float32 epilogue,
-            ~1e-7 relative error on float outputs) | "fused-jit"
-            (numba element loop, requires numba installed) | "auto"
-            (a one-shot micro-probe at session start picks the faster
-            of the bit-identical "batched"/"fused" pair for this
-            (model, platform); the choice lands in
-            ``provenance["tuning"]["kernel"]``) -- or ``None`` to defer
-            to ``$REPRO_KERNEL`` (default "batched").  Except for
-            "fused32", never affects results, only wall-clock (see
-            PERFORMANCE.md).
         task_timeout_s: Per-batch deadline (seconds) for the process
             backend's supervision: a batch missing it has its hung
             workers terminated and its lost shards re-dispatched (see
@@ -171,7 +163,6 @@ class SearchSpec:
     dispatch_min_batch: Optional[object] = None  # int >= 0 or "auto"
     envs: Optional[int] = None
     task_timeout_s: Optional[float] = None
-    kernel: Optional[str] = None
     autotune: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -230,11 +221,6 @@ class SearchSpec:
             raise ValueError(
                 "task_timeout_s must be >= 0 (0 disables the deadline, "
                 "None defers to $REPRO_TASK_TIMEOUT)")
-        if self.kernel is not None and self.kernel != "auto" \
-                and self.kernel not in _kernels():
-            raise ValueError(
-                f"kernel must be one of {_kernels()}, \"auto\", or None "
-                f"(defer to $REPRO_KERNEL), got {self.kernel!r}")
         if self.autotune is not None \
                 and not isinstance(self.autotune, bool):
             raise ValueError(
@@ -301,28 +287,6 @@ class SearchSpec:
         from repro.parallel.backend import default_task_timeout
 
         return default_task_timeout()
-
-    def resolved_kernel(self) -> str:
-        """The effective cost-model kernel (spec, ``$REPRO_KERNEL``,
-        "batched").  Every kernel except "fused32" is bit-identical to
-        the reference engine (the fused parity suite holds them so), so
-        the env-var override is a safe deploy-time knob.  ``"auto"``
-        resolves to "batched" here -- the session's micro-probe
-        (:func:`repro.parallel.tuning.select_kernel`) replaces it
-        before the first evaluation."""
-        from repro.costmodel.fused import resolve_kernel
-
-        if self.kernel_is_auto():
-            return "batched"
-        return resolve_kernel(self.kernel)
-
-    def kernel_is_auto(self) -> bool:
-        """Whether the kernel should be micro-probed at session start
-        (spec or ``$REPRO_KERNEL`` says "auto")."""
-        kernel = self.kernel
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL")
-        return kernel == "auto"
 
     def resolved_dispatch_min_batch(self) -> int:
         """The effective adaptive-dispatch threshold (spec,
@@ -397,7 +361,21 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
+        """Inverse of :meth:`to_dict`; rejects unknown keys.
+
+        Documents saved while the spec still had a ``kernel`` field load
+        with the key dropped, unless they name a removed kernel the
+        batched engine does not stand in for (a ``ValueError``).
+        """
+        if "kernel" in data:
+            data = dict(data)
+            kernel = data.pop("kernel")
+            reason = _LEGACY_KERNELS.get(kernel, "not a kernel name")
+            if reason is not None:
+                raise ValueError(
+                    f"cannot load kernel={kernel!r}: {reason}; the kernel "
+                    f"field was removed, so drop the key to rerun on the "
+                    f"batched engine")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -229,9 +229,6 @@ class SearchServer:
             (``None``: ``$REPRO_NODES`` / auto; see
             :class:`~repro.parallel.DistributedBackend` for the
             self-spawned vs ``$REPRO_BIND`` external modes).
-        kernel: Cost-model compute kernel for the shared pool
-            (``None``: ``$REPRO_KERNEL`` or "batched").  Serial jobs
-            resolve their own kernel per spec/env inside the session.
         progress_every: Throttle for per-step job events.
         fault_plan: Deterministic fault-injection plan forwarded to the
             pool (testing; ``None`` defers to ``$REPRO_FAULTS``).
@@ -245,7 +242,6 @@ class SearchServer:
                  executor: Optional[str] = None,
                  workers: Optional[int] = None,
                  nodes: Optional[int] = None,
-                 kernel: Optional[str] = None,
                  progress_every: int = 10,
                  fault_plan=None) -> None:
         if max_concurrent < 1:
@@ -264,7 +260,7 @@ class SearchServer:
         if executor != "serial":
             self.coordinator = ParallelCoordinator(
                 executor=executor, workers=workers, nodes=nodes,
-                keep_alive=True, fault_plan=fault_plan, kernel=kernel)
+                keep_alive=True, fault_plan=fault_plan)
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
         self._inflight: Dict[str, Job] = {}

@@ -15,10 +15,10 @@ with
   :class:`~repro.objectives.Objective` instance dedup to one entry),
 * ``envs`` resolved (``None`` / ``$REPRO_ENVS`` / explicit ``1`` all
   mean the same scalar-stepping scenario), and
-* the execution-only knobs (``executor`` / ``workers`` /
-  ``dispatch_min_batch`` / ``task_timeout_s``) dropped -- the parity
-  suites hold results bit-identical across backends, so a result
-  computed on a process pool *is* the serial result.
+* the execution-only knobs (``executor`` / ``workers`` / ``nodes`` /
+  ``dispatch_min_batch`` / ``task_timeout_s`` / ``autotune``) dropped --
+  the parity suites hold results bit-identical across backends, so a
+  result computed on a process pool *is* the serial result.
 
 The cache contract (after the kg-microbe exemplar): re-running is safe --
 existing results are served from the store; a ``force`` flag bypasses the
@@ -63,8 +63,10 @@ STORE_FORMAT = "repro-result-store/v1"
 EXECUTION_ONLY_FIELDS = (
     "executor",
     "workers",
+    "nodes",
     "dispatch_min_batch",
     "task_timeout_s",
+    "autotune",
 )
 
 

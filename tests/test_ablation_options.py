@@ -130,3 +130,17 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["destroy"])
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--model", "ncf"],
+        ["compare", "--model", "ncf"],
+        ["serve"],
+    ])
+    def test_kernel_option_is_gone(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--kernel", "batched"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernel batched" \
+            in capsys.readouterr().err

@@ -5,8 +5,9 @@ The batched engine is engineered to be *bit-identical* to the scalar path
 exact equality -- far stronger than the 1e-9 tolerance the engine
 guarantees publicly.  Coverage spans all three dataflow styles, DWCONV
 layers, MIX assignments, LP and LS deployments, both constraint kinds,
-and seeded end-to-end equivalence of every search method that routes
-through the batch API.
+seeded end-to-end equivalence of every search method that routes
+through the batch API, extreme layer geometries, and the engine's
+bounded caches and table identities.
 """
 
 import dataclasses
@@ -18,14 +19,23 @@ from repro.core.constraints import ResourceConstraint, platform_constraint
 from repro.core.evaluator import DesignPointEvaluator
 from repro.costmodel import (
     BATCH_STYLES,
+    DEFAULT_HW,
+    BatchedCostModel,
     CostModel,
     LayerTable,
     STYLE_INDEX,
 )
+from repro.costmodel.batched import (
+    LRUCache,
+    evaluate_batch_kernel,
+    table_token,
+)
+from repro.costmodel.report import BatchCostReport
 from repro.env.spaces import ActionSpace
 from repro.experiments import ls_study
 from repro.ga import LocalGA
 from repro.models import get_model
+from repro.models.layers import Layer, LayerType
 from repro.optim import BASELINE_OPTIMIZERS
 
 
@@ -378,3 +388,145 @@ class TestPopulationDedup:
         result = ga.search(evaluator, 120)
         assert result.cache_hits == evaluator.cache_hits
         assert result.evaluations == 120
+
+
+# ----------------------------------------------------------------------
+# Extreme layer geometries
+# ----------------------------------------------------------------------
+REPORT_FIELDS = [f.name for f in dataclasses.fields(BatchCostReport)]
+INT_FIELDS = ("pes_used", "l1_bytes_per_pe", "l2_bytes", "tile_k", "macs")
+
+EDGE_LAYERS = [
+    # L1 smaller than one R*S window.
+    Layer("tiny-l1", LayerType.CONV, K=8, C=4, Y=14, X=14, R=5, S=5),
+    # 1x1 kernel (R=S=1): window math degenerates.
+    Layer("one-by-one", LayerType.PWCONV, K=16, C=8, Y=7, X=7),
+    # Depthwise with a single channel.
+    Layer("dw-c1", LayerType.DWCONV, K=1, C=1, Y=14, X=14, R=3, S=3),
+    # Single output channel.
+    Layer("k1", LayerType.CONV, K=1, C=16, Y=7, X=7, R=3, S=3),
+    # Wide layer for the overflow probe.
+    Layer("wide", LayerType.CONV, K=512, C=512, Y=56, X=56, R=3, S=3),
+]
+
+EDGE_POINTS = [
+    (1, 1),                  # minimum everything
+    (1, 4),                  # l1 < R*S for the 5x5 layer
+    (7, 24),                 # l1 < window+S edge for shi
+    (2 ** 20, 2 ** 20),      # huge pes * l1: int64 headroom probe
+]
+
+
+class TestEdgeDims:
+    @pytest.mark.parametrize("style", BATCH_STYLES)
+    def test_scalar_batched_agree(self, style, cost_model):
+        """Scalar and batched paths agree exactly on every edge
+        geometry x design-point combination, for every style."""
+        table = LayerTable.build(EDGE_LAYERS)
+        points = np.array(EDGE_POINTS, dtype=np.int64)
+        n_layers, n_points = len(EDGE_LAYERS), len(points)
+        layer_idx = np.repeat(np.arange(n_layers), n_points)
+        style_idx = np.full(n_layers * n_points, STYLE_INDEX[style])
+        pes = np.tile(points[:, 0], n_layers)
+        l1 = np.tile(points[:, 1], n_layers)
+
+        batched = evaluate_batch_kernel(DEFAULT_HW, table, layer_idx,
+                                        style_idx, pes, l1)
+        for i in range(len(layer_idx)):
+            scalar = cost_model.evaluate_layer(
+                EDGE_LAYERS[layer_idx[i]], style,
+                int(pes[i]), int(l1[i]))
+            for name in REPORT_FIELDS:
+                assert getattr(scalar, name) == getattr(batched, name)[i], \
+                    f"{name} @ {EDGE_LAYERS[layer_idx[i]].name} " \
+                    f"pes={pes[i]} l1={l1[i]}"
+
+    @pytest.mark.parametrize("style", BATCH_STYLES)
+    def test_huge_products_stay_positive(self, style):
+        """pes * l1_bytes around 2**40 must not wrap int64 anywhere:
+        every integer report field stays non-negative and the MAC count
+        is positive."""
+        table = LayerTable.build(EDGE_LAYERS)
+        n = len(EDGE_LAYERS)
+        report = evaluate_batch_kernel(
+            DEFAULT_HW, table, np.arange(n),
+            np.full(n, STYLE_INDEX[style]),
+            np.full(n, 2 ** 20), np.full(n, 2 ** 20))
+        for name in INT_FIELDS:
+            values = getattr(report, name)
+            assert (values >= 0).all(), f"{name} wrapped negative"
+        assert (report.l2_bytes > 0).all()
+        assert (report.macs > 0).all()
+        assert np.isfinite(report.latency_cycles).all()
+        assert np.isfinite(report.energy_nj).all()
+
+
+# ----------------------------------------------------------------------
+# Caches and table identity
+# ----------------------------------------------------------------------
+class TestLRUCache:
+    def test_capacity_bound_evicts_oldest(self):
+        cache = LRUCache(3)
+        for i in range(5):
+            cache.put(i, str(i))
+        assert len(cache) == 3
+        assert cache.get(0) is None and cache.get(1) is None
+        assert cache.get(4) == "4"
+
+    def test_get_refreshes_recency(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1
+        cache.put("c", 3)  # evicts "b", the least recently used
+        assert cache.get("b") is None
+        assert cache.get("a") == 1 and cache.get("c") == 3
+
+
+def test_table_tokens_never_recycled():
+    """Regression for ``id(table)`` keys: ``id()`` is recycled by the
+    allocator the moment a table dies, so a new table could inherit a
+    worker's stale table.  Tokens are monotonic, stable per table, and
+    unique across tables no matter how many die."""
+    import gc
+
+    first = LayerTable.build(get_model("ncf"))
+    token = table_token(first)
+    assert table_token(first) == token  # stable per table
+    seen = {token}
+    del first
+    for _ in range(5):
+        gc.collect()
+        fresh = LayerTable.build(get_model("ncf"))
+        fresh_token = table_token(fresh)
+        assert fresh_token not in seen
+        seen.add(fresh_token)
+        del fresh
+
+
+class TestSingleTableCache:
+    def test_single_layer_tables_bounded(self):
+        """Regression: the per-layer table cache used to grow without
+        bound under layer-sweep workloads."""
+        model = BatchedCostModel()
+        layers = [Layer(f"l{k}", LayerType.CONV, K=8 + k, C=8,
+                        Y=7, X=7, R=3, S=3) for k in range(40)]
+        for layer in layers:
+            model.evaluate_layer_batch(layer, "dla",
+                                       np.array([64]), np.array([512]))
+        assert len(model._single_tables) <= 16
+
+    def test_scalar_inputs_promote_to_length_one(self, conv_layer):
+        """Regression: 0-d pes / l1_bytes used to fail batch validation."""
+        model = BatchedCostModel()
+        for pes, l1 in [(64, 512), (np.int64(64), np.int64(512)),
+                        (np.array(64), np.array(512))]:
+            report = model.evaluate_layer_batch(conv_layer, "dla", pes, l1)
+            assert len(report) == 1
+        vector = model.evaluate_layer_batch(conv_layer, "dla",
+                                            np.array([64]),
+                                            np.array([512]))
+        scalar = model.evaluate_layer_batch(conv_layer, "dla", 64, 512)
+        for name in REPORT_FIELDS:
+            a, b = getattr(vector, name), getattr(scalar, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

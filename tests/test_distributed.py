@@ -5,9 +5,11 @@ Parity and crash-recovery of distributed *results* are locked by
 matrix both include ``distributed`` cells).  This file covers the
 fleet-lifecycle contracts those result-level suites cannot see:
 
-* worker-agent reconnect -- a killed node agent is respawned and the
-  ``(LayerTable, kernel)`` payload is re-shipped (PR 6's respawn
-  contract carried over the wire), visible in the ``reships`` counter;
+* worker-agent reconnect -- a killed node agent is respawned and its
+  ``LayerTable`` is re-shipped (the process backend's respawn contract
+  carried over the wire), visible in the ``reships`` counter;
+* handshake hygiene -- malformed or old-protocol connections are closed
+  without registering a node or stopping the accept loop;
 * external fleets -- agents started separately (the ``repro worker``
   CLI path) join a coordinator bound to ``$REPRO_BIND``-style fixed
   addresses, survive coordinator restarts, and serve successive
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
+import struct
 import threading
 import time
 
@@ -37,6 +40,7 @@ from repro.parallel import (
     default_nodes,
     worker_agent_main,
 )
+from repro.parallel.distributed import PROTOCOL_VERSION, send_frame
 
 TIMEOUT_S = 30.0
 
@@ -74,6 +78,47 @@ def _wait_for(predicate, timeout_s=TIMEOUT_S):
 def _agent_processes():
     return [p for p in multiprocessing.active_children()
             if p.name.startswith("repro-node")]
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _start_external(workload, port):
+    """An external-mode backend whose first evaluate runs on a thread,
+    parked on the startup barrier until an agent joins."""
+    model, table, inputs, _ = workload
+    backend = DistributedBackend(nodes=1, bind=f"127.0.0.1:{port}")
+    results = []
+    evaluating = threading.Thread(
+        target=lambda: results.append(
+            backend.evaluate(model.hw, table, *inputs)),
+        daemon=True)
+    evaluating.start()
+    _wait_for(lambda: backend._accept_thread is not None)
+    return backend, evaluating, results
+
+
+def _join_agent(port, evaluating, results, reference):
+    """A legitimate agent joins; the parked evaluate completes on it."""
+    agent = threading.Thread(
+        target=worker_agent_main, args=("127.0.0.1", port),
+        kwargs={"name": "legit", "window_s": TIMEOUT_S}, daemon=True)
+    agent.start()
+    evaluating.join(TIMEOUT_S)
+    assert results, "the legitimate agent never served the batch"
+    _assert_matches(results[0], reference)
+
+
+def _coordinator_hangs_up(port, send) -> bool:
+    """Dial the listener, ``send(sock)``, and report whether the
+    coordinator closed the connection without answering."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=TIMEOUT_S) as sock:
+        send(sock)
+        return sock.recv(1) == b""
 
 
 def test_fleet_spawns_evaluates_and_tears_down(workload):
@@ -230,3 +275,53 @@ def test_default_nodes_env_override(monkeypatch):
         default_nodes()
     monkeypatch.delenv("REPRO_NODES")
     assert default_nodes() >= 1
+
+
+def test_malformed_handshakes_leave_the_accept_loop_running(workload,
+                                                            monkeypatch):
+    """A truncated, corrupt, or wrongly shaped hello drops only its own
+    connection: the accept thread survives and a real agent still
+    joins."""
+    # The legitimate agent runs in a thread; an env-injected kill fault
+    # would ``os._exit`` the test runner.
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    _, _, _, reference = workload
+    port = _free_port()
+    backend, evaluating, results = _start_external(workload, port)
+    try:
+        for payload in (
+                struct.pack("!Q", 0),                # empty frame
+                struct.pack("!Q", 5) + b"junk!",     # not a pickle
+        ):
+            assert _coordinator_hangs_up(
+                port, lambda sock: sock.sendall(payload))
+        for message in (None, ("hello", PROTOCOL_VERSION)):
+            assert _coordinator_hangs_up(
+                port, lambda sock: send_frame(sock, message))
+        assert backend._accept_thread.is_alive()
+        assert backend.connected_nodes == 0
+        _join_agent(port, evaluating, results, reference)
+        assert backend.connected_nodes == 1
+    finally:
+        backend.shutdown()
+
+
+def test_old_protocol_hello_is_closed_and_never_registered(workload,
+                                                          monkeypatch):
+    """An agent speaking protocol version 2 (whose ``load`` frames still
+    carried a kernel name) is hung up on at handshake."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    _, _, _, reference = workload
+    assert PROTOCOL_VERSION == 3
+    port = _free_port()
+    backend, evaluating, results = _start_external(workload, port)
+    try:
+        assert _coordinator_hangs_up(
+            port, lambda sock: send_frame(
+                sock, ("hello", 2, None, "old-agent", 1)))
+        assert backend.connected_nodes == 0
+        assert backend.fleet_nodes == 0
+        _join_agent(port, evaluating, results, reference)
+        assert backend.fleet_nodes == 1
+    finally:
+        backend.shutdown()

@@ -287,6 +287,53 @@ class TestSessionResult:
         assert clone.result.extra["global_cost"] \
             == result.result.extra["global_cost"]
 
+    #: A result saved while ``SearchSpec`` still had a ``kernel`` field.
+    PRE_KERNEL_REMOVAL_DOC = (
+        '{"spec": {"model": "ncf", "method": "random", "objective": '
+        '"latency", "dataflow": "dla", "constraint_kind": "area", '
+        '"platform": "cloud", "budget": 2, "seed": 0, "mix": false, '
+        '"num_levels": 12, "max_pes": 128, "deployment": "lp", '
+        '"max_total_pes": 4096, "max_total_l1": 8192, "layer_slice": '
+        'null, "finetune": null, "executor": null, "workers": null, '
+        '"nodes": null, "dispatch_min_batch": null, "envs": null, '
+        '"task_timeout_s": null, "kernel": null, "autotune": null}, '
+        '"result": {"algorithm": "random", "best_cost": 3670144.0, '
+        '"best_assignments": [[96, 89], [24, 49], [8, 19], [1, 19]], '
+        '"best_genome": [10, 7, 6, 3, 3, 0, 0, 0], "history": '
+        '[3670144.0, 3670144.0], "evaluations": 2, "cache_hits": 0, '
+        '"episodes": 2, "wall_time_s": 0.000649658999464009, '
+        '"memory_bytes": 0, "extra": {}}, "stopped_early": false, '
+        '"provenance": {"repro_version": "1.8.0", "method_kind": '
+        '"genome", "executor": "serial", "kernel": "batched", '
+        '"autotune": false, "envs": 1, "started_at": '
+        '"2026-10-17T07:08:27", "finished_at": "2026-10-17T07:08:27"}}')
+
+    @pytest.mark.parametrize("kernel", [None, "batched", "fused", "auto"])
+    def test_loads_documents_saved_with_a_kernel(self, kernel, cost_model):
+        document = json.loads(self.PRE_KERNEL_REMOVAL_DOC)
+        document["spec"]["kernel"] = kernel
+        loaded = SessionResult.from_json(json.dumps(document))
+        assert "kernel" not in loaded.spec.to_dict()
+        assert loaded.best_cost == 3670144.0
+        # Every dropped kernel was bit-identical to the batched engine,
+        # so a rerun of the loaded spec reproduces the saved result.
+        rerun = SearchSession(loaded.spec, cost_model=cost_model).run()
+        assert rerun.best_cost == loaded.best_cost
+        assert rerun.best_assignments == loaded.best_assignments
+
+    @pytest.mark.parametrize("kernel", ["fused32", "fused-jit"])
+    def test_rejects_documents_naming_a_removed_kernel(self, kernel):
+        document = json.loads(self.PRE_KERNEL_REMOVAL_DOC)
+        document["spec"]["kernel"] = kernel
+        with pytest.raises(ValueError, match=kernel):
+            SessionResult.from_json(json.dumps(document))
+
+    def test_spec_has_no_kernel_field(self):
+        with pytest.raises(TypeError):
+            SearchSpec(model="ncf", kernel="batched")
+        with pytest.raises(ValueError, match="kernel"):
+            SearchSpec.from_dict({"model": "ncf", "kernel": "warp-speed"})
+
     def test_session_validates_method_eagerly(self):
         with pytest.raises(KeyError, match="unknown method"):
             SearchSession(SearchSpec(model="ncf", method="alphago"))

@@ -57,6 +57,8 @@ class TestResultKey:
         assert result_key(_spec(executor="thread",
                                 dispatch_min_batch=0)) == base
         assert result_key(_spec(task_timeout_s=30.0)) == base
+        assert result_key(_spec(executor="distributed", nodes=2)) == base
+        assert result_key(_spec(autotune=True)) == base
         for field in EXECUTION_ONLY_FIELDS:
             assert field not in canonical_identity(_spec())
 

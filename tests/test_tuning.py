@@ -1,15 +1,14 @@
 """Tests for profile-guided adaptive execution (:mod:`repro.parallel.tuning`).
 
 The adaptive layer may only ever move *where* and *in what size chunks*
-a batch is evaluated -- shard boundaries, inline-vs-shard routing, and
-the choice among bit-identical kernels.  This file locks both halves of
-that contract: the planning math itself (unit + property tests over
-:class:`ThroughputModel` / :class:`ShardPlanner` /
-:class:`BreakEvenCalibrator`), and the end-to-end guarantee that search
-results are bit-identical with autotuning on or off across every
-executor -- including a distributed run that loses a node mid-batch and
-a straggler scenario where the plan visibly shifts rows off the slow
-worker.
+a batch is evaluated -- shard boundaries and inline-vs-shard routing.
+This file locks both halves of that contract: the planning math itself
+(unit + property tests over :class:`ThroughputModel` /
+:class:`ShardPlanner` / :class:`BreakEvenCalibrator`), and the
+end-to-end guarantee that search results are bit-identical with
+autotuning on or off across every executor -- including a distributed
+run that loses a node mid-batch and a straggler scenario where the plan
+visibly shifts rows off the slow worker.
 """
 
 from __future__ import annotations
@@ -31,15 +30,10 @@ from repro.parallel import (
     ThroughputModel,
     TuningState,
     default_autotune,
-    select_kernel,
     shard_bounds,
 )
 from repro.parallel.backend import TRANSPORT_MIN_BATCH
-from repro.parallel.tuning import (
-    AUTO_KERNEL_CANDIDATES,
-    AUTOTUNE_ENV,
-    BreakEvenCalibrator,
-)
+from repro.parallel.tuning import AUTOTUNE_ENV, BreakEvenCalibrator
 from repro.search import SearchSession, SearchSpec
 
 
@@ -241,24 +235,9 @@ class TestBreakEvenCalibrator:
 
 
 # ----------------------------------------------------------------------
-# Kernel auto-selection
+# TuningState
 # ----------------------------------------------------------------------
-class TestSelectKernel:
-    def test_only_bit_identical_kernels_compete(self):
-        assert "fused32" not in AUTO_KERNEL_CANDIDATES
-        assert "fused-jit" not in AUTO_KERNEL_CANDIDATES
-
-    def test_probe_times_every_candidate_and_caches(self):
-        table = LayerTable.build(get_model("ncf"))
-        key = ("test-select-kernel", id(table))
-        selected, timings = select_kernel(DEFAULT_HW, table, cache_key=key,
-                                          probe_rows=64, repeats=1)
-        assert selected in AUTO_KERNEL_CANDIDATES
-        assert set(timings) == set(AUTO_KERNEL_CANDIDATES)
-        assert all(t > 0 for t in timings.values())
-        assert select_kernel(DEFAULT_HW, table,
-                             cache_key=key) == (selected, timings)
-
+class TestTuningState:
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv(AUTOTUNE_ENV, raising=False)
         assert default_autotune() is False
@@ -267,11 +246,6 @@ class TestSelectKernel:
         monkeypatch.setenv(AUTOTUNE_ENV, "off")
         assert default_autotune() is False
 
-
-# ----------------------------------------------------------------------
-# TuningState
-# ----------------------------------------------------------------------
-class TestTuningState:
     def test_static_routing_when_auto_dispatch_off(self):
         tuner = TuningState(plan_shards=True, auto_dispatch=False)
         assert tuner.route_inline("process", 100, 256) is True
@@ -427,11 +401,6 @@ class TestSpecKnobs:
         with pytest.raises(ValueError):
             SearchSpec(model="ncf", dispatch_min_batch="sometimes")
 
-    def test_kernel_auto_accepted(self):
-        spec = SearchSpec(model="ncf", kernel="auto")
-        assert spec.kernel_is_auto()
-        assert spec.resolved_kernel() == "batched"
-
     def test_autotune_env_default(self, monkeypatch):
         monkeypatch.setenv(AUTOTUNE_ENV, "1")
         assert SearchSpec(model="ncf").resolved_autotune() is True
@@ -440,17 +409,3 @@ class TestSpecKnobs:
         assert SearchSpec(model="ncf",
                           autotune=True).resolved_autotune() is True
 
-    def test_kernel_auto_session_records_probe(self):
-        spec = SearchSpec(model="ncf", platform="cloud", method="random",
-                          budget=8, seed=0, kernel="auto")
-        outcome = SearchSession(spec).run()
-        probe = outcome.provenance["tuning"]["kernel"]
-        assert probe["selected"] in AUTO_KERNEL_CANDIDATES
-        assert set(probe["timings"]) == set(AUTO_KERNEL_CANDIDATES)
-        # Bit-parity with an explicit kernel: auto can never change
-        # results, only pick among bit-identical implementations.
-        explicit = SearchSession(SearchSpec(
-            model="ncf", platform="cloud", method="random", budget=8,
-            seed=0, kernel="batched")).run()
-        assert outcome.best_cost == explicit.best_cost
-        assert outcome.best_assignments == explicit.best_assignments
