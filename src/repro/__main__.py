@@ -127,18 +127,6 @@ def _objective_from_args(args: argparse.Namespace) -> str:
     return objective or "latency"
 
 
-def _dispatch_min_batch_arg(value: str):
-    """``--dispatch-min-batch`` accepts an int or the literal "auto"
-    (runtime break-even calibration)."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}") from None
-
-
 def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
     try:
         return SearchSpec(
@@ -159,7 +147,6 @@ def _spec_from_args(args: argparse.Namespace, method: str) -> SearchSpec:
             dispatch_min_batch=args.dispatch_min_batch,
             envs=args.envs,
             task_timeout_s=args.task_timeout_s,
-            autotune=args.autotune,
         )
     except ValueError as error:
         # Free-form spec fields (--objective most of all) are validated
@@ -269,9 +256,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             nodes=first.resolved_nodes(),
             keep_alive=True,
             min_batch_per_worker=first.resolved_dispatch_min_batch(),
-            task_timeout_s=first.resolved_task_timeout_s(),
-            autotune=first.resolved_autotune(),
-            auto_dispatch=first.dispatch_is_auto())]
+            task_timeout_s=first.resolved_task_timeout_s())]
     try:
         for method in methods:
             spec = _spec_from_args(args, method)
@@ -500,15 +485,12 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "localhost agents unless $REPRO_BIND names "
                              "a listen address for external repro "
                              "worker agents)")
-    parser.add_argument("--dispatch-min-batch",
-                        type=_dispatch_min_batch_arg, default=None,
+    parser.add_argument("--dispatch-min-batch", type=int, default=None,
                         dest="dispatch_min_batch",
                         help="adaptive dispatch: batches below this many "
                              "elements per worker run in-process "
                              "(default: $REPRO_DISPATCH_MIN or the "
-                             "measured break-even; 0 always shards; "
-                             "'auto' calibrates the crossover at "
-                             "runtime by timing the first batches)")
+                             "measured break-even; 0 always shards)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         dest="task_timeout_s",
                         help="per-batch deadline in seconds for the "
@@ -522,13 +504,6 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "bit-identical to scalar stepping, >1 is a "
                              "faster, reproducible scenario -- see "
                              "BENCH_rl.json)")
-    parser.add_argument("--autotune", action="store_true", default=None,
-                        help="profile-guided shard planning: size "
-                             "initial shards to each worker/node's "
-                             "measured rows/sec instead of uniform "
-                             "round-robin (default: $REPRO_AUTOTUNE or "
-                             "off; scheduling only -- results stay "
-                             "bit-identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,9 @@ from repro.search.registry import KIND_EPISODIC, KIND_GENOME, list_methods
 
 def classic_optimizer_methods() -> tuple:
     """Table IV columns from the registry: every standalone genome-space
-    optimizer (fine-tuners like ``local-ga`` need a seed point, so they
-    are not from-scratch comparison columns), then Con'X(global).  A
+    optimizer (fine-tuning methods like ``local-ga`` need a seed point,
+    so they are not from-scratch comparison columns), then
+    Con'X(global).  A
     newly registered optimizer appears in the grid automatically."""
     names = [info.name for info in list_methods(kind=KIND_GENOME,
                                                 include_variants=False)

@@ -89,7 +89,7 @@ def compare_methods(
     returning.  Results are bit-identical to the serial grid.
     ``dispatch_min_batch`` tunes the adaptive in-process fallback for
     small batches (``None`` resolves ``$REPRO_DISPATCH_MIN`` / the
-    measured default; 0 always shards).  ``envs`` rolls the episodic-RL
+    executor's measured break-even; 0 always shards).  ``envs`` rolls the episodic-RL
     methods as that many lockstep episodes per wave (one batched cost
     call per layer step); unlike the executor knobs, ``envs > 1``
     changes which episodes are sampled (reproducibly per seed).
@@ -131,7 +131,7 @@ def compare_methods(
         from repro.parallel import default_dispatch_min_batch, make_backend
 
         if dispatch_min_batch is None:
-            dispatch_min_batch = default_dispatch_min_batch()
+            dispatch_min_batch = default_dispatch_min_batch(executor)
         backend = make_backend(executor, workers, dispatch_min_batch)
         cost_model.set_executor(backend)
     results: Dict[str, SearchResult] = {}

@@ -26,13 +26,12 @@ work; this package shards that unit across execution backends:
   fault-tolerance counters into ``SessionResult.provenance``; sessions
   build one automatically from ``SearchSpec.executor`` /
   ``SearchSpec.workers``.
-* :mod:`repro.parallel.tuning` is the profile-guided layer:
-  :class:`~repro.parallel.tuning.ThroughputModel` (per-worker EWMA of
-  rows/sec from shard timing echoes), :class:`~repro.parallel.tuning
-  .ShardPlanner` (initial shard spans proportional to measured rates),
-  and break-even calibration (``dispatch_min_batch="auto"``) -- all
-  behind ``SearchSpec.autotune`` / ``$REPRO_AUTOTUNE``.  Scheduling
-  only: results stay bit-identical with tuning on or off.
+* Scheduling is static, one policy per transport.  Batches below the
+  measured per-transport break-even
+  (:data:`~repro.parallel.backend.TRANSPORT_MIN_BATCH`) run in-process;
+  the thread and process backends split the rest into uniform
+  round-robin shards (:func:`~repro.parallel.backend.shard_bounds`),
+  the distributed backend into finer shards that idle nodes pull.
 
 Every backend is bit-identical to the serial kernel -- crash-free,
 recovered, or degraded -- the determinism suite in
@@ -73,23 +72,13 @@ from repro.parallel.errors import (
 )
 from repro.parallel.faults import FaultPlan
 from repro.parallel.shm import BatchBlock
-from repro.parallel.tuning import (
-    AUTOTUNE_ENV,
-    BreakEvenCalibrator,
-    ShardPlanner,
-    ThroughputModel,
-    TuningState,
-    default_autotune,
-)
 
 __all__ = [
-    "AUTOTUNE_ENV",
     "DEFAULT_DISPATCH_MIN_BATCH",
     "DEFAULT_MAX_RETRIES",
     "DEGRADATION_LADDER",
     "EXECUTORS",
     "BatchBlock",
-    "BreakEvenCalibrator",
     "DistributedBackend",
     "ExecutionBackend",
     "ExecutionError",
@@ -100,14 +89,10 @@ __all__ = [
     "ProcessBackend",
     "ResilientBackend",
     "SerialBackend",
-    "ShardPlanner",
     "TRANSPORT_MIN_BATCH",
     "TaskTimeoutError",
     "ThreadBackend",
-    "ThroughputModel",
-    "TuningState",
     "WorkerCrashError",
-    "default_autotune",
     "default_bind",
     "default_dispatch_min_batch",
     "default_max_retries",

@@ -152,10 +152,13 @@ def default_dispatch_min_batch(executor: Optional[str] = None) -> int:
     or unknown -- the pre-calibration behavior)."""
     env = os.environ.get("REPRO_DISPATCH_MIN")
     if env is not None:
-        threshold = int(env)
+        try:
+            threshold = int(env)
+        except ValueError:
+            threshold = -1
         if threshold < 0:
             raise ValueError(
-                f"REPRO_DISPATCH_MIN must be >= 0, got {env!r}")
+                f"REPRO_DISPATCH_MIN must be an integer >= 0, got {env!r}")
         return threshold
     if executor is None:
         return DEFAULT_DISPATCH_MIN_BATCH
@@ -221,25 +224,18 @@ class ExecutionBackend:
             ``compare_methods``, the CLI) resolve the adaptive default.
             Sharding never changes results, so neither does the
             fallback.
-        tuner: Optional :class:`~repro.parallel.tuning.TuningState`.
-            When set, completed shards feed its throughput model, its
-            planner sizes initial shards, and (``auto_dispatch``) its
-            calibrator replaces the static break-even table.  All of
-            that only moves work between equally bit-identical
-            execution paths, so a tuner never changes results either.
     """
 
     name = "base"
 
     def __init__(self, workers: int = 1,
-                 min_batch_per_worker: int = 0, tuner=None) -> None:
+                 min_batch_per_worker: int = 0) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if min_batch_per_worker < 0:
             raise ValueError("min_batch_per_worker must be >= 0")
         self.workers = workers
         self.min_batch_per_worker = min_batch_per_worker
-        self.tuner = tuner
         #: Dispatch counters: how many batches ran in-process vs sharded
         #: (observability for the adaptive fallback; never affects
         #: results).
@@ -249,38 +245,6 @@ class ExecutionBackend:
     def _below_break_even(self, batch: int) -> bool:
         """Whether ``batch`` is too small to be worth sharding."""
         return batch < self.min_batch_per_worker * self.workers
-
-    def _route_inline(self, batch: int) -> bool:
-        """Inline-vs-shard decision: the tuner's calibrated crossover
-        when one is attached and calibrating, else the static
-        threshold.  Both routes are bit-identical, so this only ever
-        moves wall clock."""
-        if self.tuner is not None and self.tuner.auto_dispatch:
-            return self.tuner.route_inline(
-                self.name, batch,
-                self.min_batch_per_worker * self.workers)
-        return self._below_break_even(batch)
-
-    def _observe_route(self, batch: int, inline: bool,
-                       elapsed_s: float) -> None:
-        """Feed one timed batch back into the break-even calibrator."""
-        if self.tuner is not None:
-            self.tuner.observe_route(self.name, inline, batch, elapsed_s)
-
-    def _plan_shards(self, batch: int, chunks_per_key: int = 1):
-        """``(bounds, owners)`` for one batch: throughput-proportional
-        when the tuner plans shards, else the static uniform
-        round-robin (identical to the tuner's own fallback)."""
-        keys = list(range(self.workers))
-        if self.tuner is not None and self.tuner.plan_shards:
-            return self.tuner.plan(batch, self.name, keys, chunks_per_key)
-        bounds = shard_bounds(batch, self.workers * chunks_per_key)
-        return bounds, [keys[i % len(keys)] for i in range(len(bounds))]
-
-    def _observe_shard(self, key, rows: int, elapsed_s: float) -> None:
-        """Feed one completed shard's timing into the throughput model."""
-        if self.tuner is not None:
-            self.tuner.observe(self.name, key, rows, elapsed_s)
 
     def evaluate(self, hw: HardwareConfig, table: LayerTable,
                  layer_idx: np.ndarray, style_idx: np.ndarray,
@@ -341,9 +305,8 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, workers: int = 1,
                  min_batch_per_worker: int = 0,
-                 fault_plan: Optional[FaultPlan] = None,
-                 tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, tuner=tuner)
+                 fault_plan: Optional[FaultPlan] = None) -> None:
+        super().__init__(workers, min_batch_per_worker)
         self._pool: Optional[ThreadPoolExecutor] = None
         self.fault_plan = fault_plan
         self._fired_faults: set = set()
@@ -368,41 +331,26 @@ class ThreadBackend(ExecutionBackend):
                     f"injected fault in thread shard {shard_idx} at "
                     f"batch {task_id}")
 
-    def _run_shard(self, owner, hw, table, layer_idx, style_idx, pes,
-                   l1_bytes) -> BatchCostReport:
-        start = time.perf_counter()
-        report = evaluate_batch_kernel(hw, table, layer_idx, style_idx,
-                                       pes, l1_bytes)
-        self._observe_shard(owner, layer_idx.size,
-                            time.perf_counter() - start)
-        return report
-
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
         batch = layer_idx.size
-        if self.workers == 1 or batch < 2 or self._route_inline(batch):
+        if self.workers == 1 or batch < 2 or self._below_break_even(batch):
             self.inline_batches += 1
-            start = time.perf_counter()
-            report = evaluate_batch_kernel(hw, table, layer_idx,
-                                           style_idx, pes, l1_bytes)
-            self._observe_route(batch, True, time.perf_counter() - start)
-            return report
-        bounds, owners = self._plan_shards(batch)
+            return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
+                                         pes, l1_bytes)
+        bounds = shard_bounds(batch, self.workers)
         self.sharded_batches += 1
         task_id = self._next_task
         self._next_task += 1
         self._check_faults(task_id, len(bounds))
         pool = self._ensure_pool()
-        start = time.perf_counter()
         futures = [
-            pool.submit(self._run_shard, owner, hw, table,
+            pool.submit(evaluate_batch_kernel, hw, table,
                         layer_idx[lo:hi], style_idx[lo:hi], pes[lo:hi],
                         l1_bytes[lo:hi])
-            for (lo, hi), owner in zip(bounds, owners)
+            for lo, hi in bounds
         ]
-        report = _concat_reports([future.result() for future in futures])
-        self._observe_route(batch, False, time.perf_counter() - start)
-        return report
+        return _concat_reports([future.result() for future in futures])
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -423,19 +371,15 @@ def _worker_main(worker_id: int, task_queue, result_queue,
 
     ``faults`` is this worker's slice of a
     :class:`~repro.parallel.faults.FaultPlan` (``{"kill": [batch...],
-    "raise": [batch...], "delay": [[batch, seconds]...],
-    "throttle": seconds_per_row}``), shipped at spawn time; respawned
-    workers receive a pruned copy so a consumed fault never re-fires.
-    Kills exit before the segment is touched, raises fire once each and
-    are reported with the dedicated ``"fault"`` status (retryable),
-    delays sleep before evaluating, and a throttle sleeps proportional
-    to shard rows on *every* shard (a persistent straggler, charged to
-    the timing echo).
+    "raise": [batch...], "delay": [[batch, seconds]...]}``), shipped at
+    spawn time; respawned workers receive a pruned copy so a consumed
+    fault never re-fires.  Kills exit before the segment is touched,
+    raises fire once each and are reported with the dedicated
+    ``"fault"`` status (retryable), and delays sleep before evaluating.
     """
     mute_resource_tracker()
     kill_at = list(faults["kill"]) if faults else []
     raise_at = list(faults["raise"]) if faults else []
-    throttle = float(faults.get("throttle", 0.0)) if faults else 0.0
     delay_at: Dict[int, float] = {}
     if faults:
         for batch_idx, seconds in faults["delay"]:
@@ -454,11 +398,9 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         if task_id in kill_at:
             os._exit(1)
         delay = delay_at.pop(task_id, 0.0)
-        if throttle:
-            delay += throttle * (hi - lo)
         if delay:
             time.sleep(delay)
-        status, detail, elapsed = "ok", None, 0.0
+        status, detail = "ok", None
         try:
             if task_id in raise_at:
                 raise_at.remove(task_id)
@@ -468,20 +410,12 @@ def _worker_main(worker_id: int, task_queue, result_queue,
             hw, table = tables[table_id]
             block = BatchBlock.attach(segment_name, batch)
             try:
-                start = time.perf_counter()
                 report = evaluate_batch_kernel(
                     hw, table,
                     block.inputs["layer_idx"][lo:hi],
                     block.inputs["style_idx"][lo:hi],
                     block.inputs["pes"][lo:hi],
                     block.inputs["l1_bytes"][lo:hi])
-                # The kernel time alone is the timing echo: queue wait
-                # and segment mapping are coordinator-side costs, and
-                # including them would make a busy worker look slow and
-                # starve it further.  Injected delays emulate a
-                # straggler, so they ARE charged: the throughput model
-                # must see the slow worker the plan routes around.
-                elapsed = time.perf_counter() - start + delay
                 block.write_report(report, lo, hi)
             finally:
                 block.close()
@@ -491,8 +425,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
             import traceback
 
             status, detail = "error", f"{error!r}\n{traceback.format_exc()}"
-        result_queue.put((task_id, worker_id, lo, hi, status, detail,
-                          elapsed))
+        result_queue.put((task_id, worker_id, lo, hi, status, detail))
 
 
 class ProcessBackend(ExecutionBackend):
@@ -556,9 +489,8 @@ class ProcessBackend(ExecutionBackend):
                  max_retries: Optional[int] = None,
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 tuner=None) -> None:
-        super().__init__(workers, min_batch_per_worker, tuner=tuner)
+                 fault_plan: Optional[FaultPlan] = None) -> None:
+        super().__init__(workers, min_batch_per_worker)
         import multiprocessing
 
         if start_method is None:
@@ -620,9 +552,6 @@ class ProcessBackend(ExecutionBackend):
             "raise": self.fault_plan.raises_for(worker_id),
             "delay": [[batch, seconds] for batch, seconds
                       in self._delays.get(worker_id, ())],
-            # Persistent straggler emulation: never pruned, a respawned
-            # worker stays slow.
-            "throttle": self.fault_plan.throttle_for(worker_id),
         }
 
     def _spawn(self, worker_id: int) -> None:
@@ -713,40 +642,32 @@ class ProcessBackend(ExecutionBackend):
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
         batch = layer_idx.size
-        if self._route_inline(batch):
+        if self._below_break_even(batch):
             # Too small to amortize the queue hop + segment map; the
             # in-process kernel is bit-identical, so only latency
             # changes.  An idle pool stays warm for the next big batch.
             self.inline_batches += 1
-            start = time.perf_counter()
-            report = evaluate_batch_kernel(hw, table, layer_idx,
-                                           style_idx, pes, l1_bytes)
-            self._observe_route(batch, True, time.perf_counter() - start)
-            return report
+            return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
+                                         pes, l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
-        bounds, owners = self._plan_shards(batch)
         task_id = self._next_task
         self._next_task += 1
-        start = time.perf_counter()
         with BatchBlock.allocate(layer_idx, style_idx, pes,
                                  l1_bytes) as block:
-            self._run_task(task_id, block, bounds, hw, table,
-                           owners=owners)
-            report = block.gather_report()
-        self._observe_route(batch, False, time.perf_counter() - start)
-        return report
+            self._run_task(task_id, block, shard_bounds(batch, self.workers),
+                           hw, table)
+            return block.gather_report()
 
     # ------------------------------------------------------------------
     def _run_task(self, task_id: int, block: BatchBlock, bounds, hw,
-                  table, owners=None) -> None:
+                  table) -> None:
         """Dispatch one batch's shards and supervise them to completion.
 
-        ``owners`` names the worker for each shard (the shard planner's
-        assignment); without one the shards round-robin over the pool.
-        The loop waits for shard acks while polling worker liveness and
-        the batch deadline; lost shards (dead or hung worker, injected
-        fault) are re-dispatched after recovery, bounded by
+        Shards round-robin over the pool.  The loop waits for shard acks
+        while polling worker liveness and the batch deadline; lost
+        shards (dead or hung worker, injected fault) are re-dispatched
+        after recovery, bounded by
         ``max_retries`` recoveries per batch.  Stale acks -- from a
         worker terminated after it finished, or an earlier attempt of a
         recovered shard -- are recognized by (task, shard) bookkeeping
@@ -757,8 +678,7 @@ class ProcessBackend(ExecutionBackend):
 
         pending: Dict[Tuple[int, int], int] = {}
         for shard, (lo, hi) in enumerate(bounds):
-            worker_id = (owners[shard] if owners is not None
-                         else shard % self.workers)
+            worker_id = shard % self.workers
             self._dispatch(worker_id, task_id, block, lo, hi, hw, table)
             pending[(lo, hi)] = worker_id
         attempts = 0
@@ -776,13 +696,11 @@ class ProcessBackend(ExecutionBackend):
             except queue_module.Empty:
                 pass
             if message is not None:
-                done_id, worker_id, lo, hi, status, detail, elapsed = \
-                    message
+                done_id, worker_id, lo, hi, status, detail = message
                 if done_id != task_id or (lo, hi) not in pending:
                     continue  # stale ack from a recovered attempt
                 if status == "ok":
                     del pending[(lo, hi)]
-                    self._observe_shard(worker_id, hi - lo, elapsed)
                 elif status == "fault":
                     # Injected and explicitly retryable; the worker is
                     # alive and will not re-fire, so re-dispatch the
@@ -949,8 +867,7 @@ class ResilientBackend(ExecutionBackend):
 
     def __init__(self, inner: ExecutionBackend, degrade_after: int = 1,
                  on_degrade=None) -> None:
-        super().__init__(inner.workers, inner.min_batch_per_worker,
-                         tuner=getattr(inner, "tuner", None))
+        super().__init__(inner.workers, inner.min_batch_per_worker)
         if degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
         self.inner = inner
@@ -1011,14 +928,9 @@ class ResilientBackend(ExecutionBackend):
                 previous = self.inner.name
                 self._absorb(self.inner)
                 self.inner.shutdown()
-                # The tuner rides down the ladder: rates measured on
-                # the failed rung are keyed by (transport, slot), so
-                # the new rung starts fresh while the calibrated
-                # crossovers survive.
                 self.inner = make_backend(
                     next_name, self.workers, self.min_batch_per_worker,
-                    fault_plan=getattr(self.inner, "fault_plan", None),
-                    tuner=self.tuner)
+                    fault_plan=getattr(self.inner, "fault_plan", None))
                 self.degraded_to = next_name
                 self._failures_at_rung = 0
                 if self.on_degrade is not None:
@@ -1044,8 +956,7 @@ def make_backend(executor: str, workers: Optional[int] = None,
                  min_batch_per_worker: int = 0,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 tuner=None) -> ExecutionBackend:
+                 fault_plan: Optional[FaultPlan] = None) -> ExecutionBackend:
     """Build a backend by name ("serial" | "thread" | "process" |
     "chaos").
 
@@ -1055,10 +966,6 @@ def make_backend(executor: str, workers: Optional[int] = None,
     does the fault-tolerance knobs.  ``chaos`` is the process backend
     with a :class:`~repro.parallel.faults.FaultPlan` always attached:
     ``fault_plan``, else ``$REPRO_FAULTS``, else a default seeded plan.
-    ``tuner`` is an optional shared
-    :class:`~repro.parallel.tuning.TuningState`; the coordinator passes
-    one instance through every backend it builds (downshifts included)
-    so measurements accumulate across pool rebuilds.
     For ``distributed``, ``workers`` is the node-fleet size (``None``:
     ``$REPRO_NODES`` or the built-in default) and the listen address
     comes from ``$REPRO_BIND`` (unset: a self-spawned localhost fleet).
@@ -1070,7 +977,7 @@ def make_backend(executor: str, workers: Optional[int] = None,
         return DistributedBackend(
             nodes=workers, min_batch_per_worker=min_batch_per_worker,
             task_timeout_s=task_timeout_s, max_retries=max_retries,
-            fault_plan=fault_plan, tuner=tuner)
+            fault_plan=fault_plan)
     try:
         cls = _BACKENDS[executor]
     except KeyError:
@@ -1083,9 +990,9 @@ def make_backend(executor: str, workers: Optional[int] = None,
     if cls is ThreadBackend:
         return cls(workers=workers,
                    min_batch_per_worker=min_batch_per_worker,
-                   fault_plan=fault_plan, tuner=tuner)
+                   fault_plan=fault_plan)
     if executor == "chaos" and fault_plan is None:
         fault_plan = FaultPlan.from_env() or FaultPlan.seeded(0)
     return cls(workers=workers, min_batch_per_worker=min_batch_per_worker,
                task_timeout_s=task_timeout_s, max_retries=max_retries,
-               fault_plan=fault_plan, tuner=tuner)
+               fault_plan=fault_plan)

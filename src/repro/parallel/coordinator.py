@@ -68,7 +68,6 @@ from repro.parallel.backend import (
     make_backend,
 )
 from repro.parallel.faults import FaultPlan
-from repro.parallel.tuning import TuningState
 from repro.search.callbacks import SearchObserver
 
 __all__ = ["ParallelCoordinator", "PoolLease"]
@@ -134,8 +133,6 @@ class PoolLease(SearchObserver):
         stats = self.coordinator.execution_stats()
         if stats is not None:
             result.provenance["execution"] = dict(stats)
-        if self.coordinator.tuner is not None:
-            result.provenance["tuning"] = self.coordinator.tuner.snapshot()
 
 
 class ParallelCoordinator(SearchObserver):
@@ -168,15 +165,6 @@ class ParallelCoordinator(SearchObserver):
         degrade: Wrap the backend in the process -> thread -> serial
             degradation ladder (on by default; turn off to let retry
             exhaustion raise instead -- what the parity tests do).
-        autotune: Adaptive shard planning -- shard spans sized to each
-            worker/node's measured rows/sec (EWMA over shard timing
-            echoes).  Scheduling only; results stay bit-identical (the
-            kernel is shard-invariant).  See
-            :mod:`repro.parallel.tuning`.
-        auto_dispatch: Runtime break-even calibration -- the first
-            batches probe inline vs sharded and freeze a measured
-            per-transport crossover in place of the static
-            ``TRANSPORT_MIN_BATCH`` threshold.
     """
 
     def __init__(self, executor: str = "process",
@@ -187,9 +175,7 @@ class ParallelCoordinator(SearchObserver):
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 degrade: bool = True,
-                 autotune: bool = False,
-                 auto_dispatch: bool = False) -> None:
+                 degrade: bool = True) -> None:
         super().__init__()
         self.executor = executor
         self.workers = workers
@@ -200,12 +186,6 @@ class ParallelCoordinator(SearchObserver):
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.degrade = degrade
-        #: One tuning state for the coordinator's whole lifetime: rates
-        #: are keyed (transport, slot), so they survive ladder
-        #: downshifts, worker respawns, and keep-alive session reuse.
-        self.tuner: Optional[TuningState] = (
-            TuningState(plan_shards=autotune, auto_dispatch=auto_dispatch)
-            if (autotune or auto_dispatch) else None)
         self.backend: Optional[ExecutionBackend] = None
         #: Counter snapshot from the most recent teardown (what
         #: ``on_finish`` writes into provenance after the pool is gone).
@@ -242,8 +222,7 @@ class ParallelCoordinator(SearchObserver):
                     self.executor, width, self.min_batch_per_worker,
                     task_timeout_s=self.task_timeout_s,
                     max_retries=self.max_retries,
-                    fault_plan=self.fault_plan,
-                    tuner=self.tuner)
+                    fault_plan=self.fault_plan)
                 if self.degrade and inner.name != "serial":
                     self.backend = ResilientBackend(
                         inner, on_degrade=self._on_degrade)
@@ -343,8 +322,6 @@ class ParallelCoordinator(SearchObserver):
         stats = self.execution_stats()
         if stats is not None:
             result.provenance["execution"] = dict(stats)
-        if self.tuner is not None:
-            result.provenance["tuning"] = self.tuner.snapshot()
 
     def close(self) -> None:
         """Shut the workers down now (idempotent)."""

@@ -22,8 +22,7 @@ node -> co   ``("hello", version, slot_or_None, name, cpus)``
 co -> node   ``("welcome", slot, faults_or_None)``
 co -> node   ``("load", table_id, hw, layers)``
 co -> node   ``("eval", task_id, lo, hi, table_id, inputs)``
-node -> co   ``("ok" | "fault" | "error", task_id, lo, hi, payload,
-node -> co   elapsed_s)``
+node -> co   ``("ok" | "fault" | "error", task_id, lo, hi, payload)``
 co -> node   ``("exit",)``
 ===========  =========================================================
 
@@ -31,10 +30,7 @@ co -> node   ``("exit",)``
 a node that reconnects (or is respawned after a kill) starts with an
 empty cache and is **re-shipped on demand** -- the same contract the
 process backend's respawn path established, surfaced in the ``reships``
-counter.  Every reply carries the node-side kernel time (``elapsed_s``,
-the evaluate call only -- never queue wait or framing, which would make
-a starved node look slow), feeding the coordinator's throughput model
-when adaptive shard planning is on.  Pickle is used as the wire format for the same reason the
+counter.  Pickle is used as the wire format for the same reason the
 process backend uses ``multiprocessing`` queues: the links are trusted
 coordinator<->worker links inside one deployment, never an open
 endpoint for untrusted peers.
@@ -53,14 +49,12 @@ Fleet modes
 
 Work stealing
 -------------
-Batches are cut into ``shards_per_node x fleet`` shards kept in a
+Batches are cut into ``SHARDS_PER_NODE x fleet`` shards kept in a
 shared deque; every node is primed with one shard and *pulls* the next
 when it acks -- fast nodes simply come back more often, so a
 heterogeneous fleet load-balances itself without any rate model.  A
 dispatch that lands on a node other than the shard's static round-robin
-owner counts as ``stolen_shards``.  ``steal=False`` restores static
-round-robin (one shard per node, assigned upfront) -- the baseline the
-scaling bench compares against.
+owner counts as ``stolen_shards``.
 
 Fault handling reuses the process backend's taxonomy wholesale: a dead
 node (socket EOF) has its in-flight shards returned to the deque and
@@ -119,9 +113,10 @@ __all__ = [
 
 #: Wire protocol version carried in the hello frame; a mismatch is a
 #: deployment error (mixed checkouts), rejected at handshake.
-#: Version 2 added the per-shard ``elapsed_s`` timing echo to replies;
-#: version 3 dropped the kernel name from ``load``.
-PROTOCOL_VERSION = 3
+#: Version 2 added a per-shard timing echo to replies; version 3
+#: dropped the kernel name from ``load``; version 4 dropped the timing
+#: echo again.
+PROTOCOL_VERSION = 4
 
 #: Node count when neither ``nodes=`` nor ``$REPRO_NODES`` is given.
 #: Two keeps the default fleet cheap (each node is a full process) while
@@ -238,7 +233,6 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
     _slot, faults = rest
     kill_at = list(faults["kill"]) if faults else []
     raise_at = list(faults["raise"]) if faults else []
-    throttle = float(faults.get("throttle", 0.0)) if faults else 0.0
     delay_at: Dict[int, float] = {}
     if faults:
         for batch_idx, seconds in faults["delay"]:
@@ -260,11 +254,8 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
         if task_id in kill_at:
             os._exit(1)
         delay = delay_at.pop(task_id, 0.0)
-        if throttle:
-            delay += throttle * (hi - lo)
         if delay:
             time.sleep(delay)
-        elapsed = 0.0
         try:
             if task_id in raise_at:
                 raise_at.remove(task_id)
@@ -272,28 +263,20 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
                     f"injected fault on node {name or _slot} at batch "
                     f"{task_id}")
             hw, table = tables[table_id]
-            # Time the kernel only: queue wait and (un)framing are
-            # coordinator- and transport-side costs; charging them here
-            # would make a starved node look slow and starve it further.
-            # Injected delays emulate a straggler node, so they ARE
-            # charged: the throughput model must see the slow node the
-            # adaptive plan routes around.
-            start = time.perf_counter()
             report = evaluate_batch_kernel(
                 hw, table,
                 inputs["layer_idx"], inputs["style_idx"],
                 inputs["pes"], inputs["l1_bytes"])
-            elapsed = time.perf_counter() - start + delay
             reply = ("ok", task_id, lo, hi,
                      {field: getattr(report, field)
-                      for field, _ in REPORT_FIELDS}, elapsed)
+                      for field, _ in REPORT_FIELDS})
         except FaultInjected as error:
-            reply = ("fault", task_id, lo, hi, repr(error), elapsed)
+            reply = ("fault", task_id, lo, hi, repr(error))
         except BaseException as error:  # noqa: BLE001 - forwarded verbatim
             import traceback
 
             reply = ("error", task_id, lo, hi,
-                     f"{error!r}\n{traceback.format_exc()}", elapsed)
+                     f"{error!r}\n{traceback.format_exc()}")
         try:
             send_frame(sock, reply)
         except (ConnectionError, OSError):
@@ -460,15 +443,8 @@ class DistributedBackend(ExecutionBackend):
             :class:`~repro.parallel.backend.ExecutionBackend`); the
             distributed transport has the highest per-batch cost of the
             ladder, so its spec-resolved default is the largest.
-        max_retries / backoff_base_s / task_timeout_s / fault_plan /
-            tuner: Exactly the process backend's knobs; the
-            tuner (a ``TuningState``) keys node throughput by slot, so
-            rates survive respawns and reconnects.
-        steal: Pull-based work stealing (default).  ``False`` restores
-            static round-robin -- the scaling bench's baseline.
-        shards_per_node: Deque depth factor under stealing; more shards
-            mean finer-grained stealing at slightly more framing
-            overhead.
+        max_retries / backoff_base_s / task_timeout_s / fault_plan:
+            Exactly the process backend's knobs.
         connect_timeout_s: How long startup waits for the fleet.
 
     Attributes:
@@ -483,6 +459,10 @@ class DistributedBackend(ExecutionBackend):
 
     POLL_S = 0.25
 
+    #: Shards per node in each batch's deque: more shards mean
+    #: finer-grained stealing at slightly more framing overhead.
+    SHARDS_PER_NODE = 4
+
     def __init__(self, nodes: Optional[int] = None,
                  bind: Optional[str] = None,
                  min_batch_per_worker: int = 0,
@@ -490,20 +470,13 @@ class DistributedBackend(ExecutionBackend):
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 steal: bool = True,
-                 shards_per_node: int = 4,
-                 connect_timeout_s: float = 30.0,
-                 tuner=None) -> None:
+                 connect_timeout_s: float = 30.0) -> None:
         nodes = default_nodes() if nodes is None else nodes
-        super().__init__(nodes, min_batch_per_worker, tuner=tuner)
-        if shards_per_node < 1:
-            raise ValueError("shards_per_node must be >= 1")
+        super().__init__(nodes, min_batch_per_worker)
         self.nodes = nodes
         if bind is None:
             bind = default_bind()
         self.bind = bind
-        self.steal = steal
-        self.shards_per_node = shards_per_node
         self.connect_timeout_s = connect_timeout_s
         self.max_retries = (default_max_retries() if max_retries is None
                             else max_retries)
@@ -567,9 +540,6 @@ class DistributedBackend(ExecutionBackend):
                 "raise": self.fault_plan.raises_for(slot),
                 "delay": [[batch, seconds] for batch, seconds
                           in self._delays[slot]],
-                # Persistent straggler emulation: never pruned, a
-                # respawned node stays slow.
-                "throttle": self.fault_plan.throttle_for(slot),
             }
 
     # ------------------------------------------------------------------
@@ -734,14 +704,10 @@ class DistributedBackend(ExecutionBackend):
 
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
-        if self._route_inline(layer_idx.size):
+        if self._below_break_even(layer_idx.size):
             self.inline_batches += 1
-            start = time.perf_counter()
-            report = evaluate_batch_kernel(hw, table, layer_idx,
-                                           style_idx, pes, l1_bytes)
-            self._observe_route(layer_idx.size, True,
-                                time.perf_counter() - start)
-            return report
+            return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
+                                         pes, l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
         task_id = self._next_task
@@ -752,11 +718,8 @@ class DistributedBackend(ExecutionBackend):
             inputs[name] = np.ascontiguousarray(inputs[name], dtype=dtype)
         outputs = {name: np.empty(layer_idx.size, dtype=dtype)
                    for name, dtype in REPORT_FIELDS}
-        start = time.perf_counter()
         self._run_task(task_id, hw, table, inputs, outputs,
                        int(layer_idx.size))
-        self._observe_route(layer_idx.size, False,
-                            time.perf_counter() - start)
         return BatchCostReport(**outputs)
 
     # ------------------------------------------------------------------
@@ -791,20 +754,10 @@ class DistributedBackend(ExecutionBackend):
         pull from."""
         live = self._await_fleet(task_id)
         keys = [node.slot for node in live]
-        chunks = self.shards_per_node if self.steal else 1
-        if self.tuner is not None and self.tuner.plan_shards:
-            # Adaptive plan: shard spans sized to each node's measured
-            # rows/sec (uniform round-robin until rates exist).  Under
-            # stealing the plan only sets the *initial* spans -- the
-            # deque still rebalances tails.
-            bounds, static_owner = self.tuner.plan(
-                batch, self.name, keys, chunks)
-        else:
-            # The static assignment both modes are measured against:
-            # shard i belongs to the i-th live node, round-robin.
-            bounds = shard_bounds(batch, len(live) * chunks)
-            static_owner = [keys[i % len(keys)]
-                            for i in range(len(bounds))]
+        # The static assignment steals are counted against: shard i
+        # belongs to the i-th live node, round-robin.
+        bounds = shard_bounds(batch, len(live) * self.SHARDS_PER_NODE)
+        static_owner = [keys[i % len(keys)] for i in range(len(bounds))]
         todo = deque(range(len(bounds)))
         pending: Dict[Tuple[int, int], int] = {}
         shard_of: Dict[Tuple[int, int], int] = {
@@ -812,58 +765,26 @@ class DistributedBackend(ExecutionBackend):
         attempts = 0
         failures: List[Tuple[int, str]] = []
 
-        def feed(node: _Node, limit: Optional[int] = None) -> int:
-            """Give ``node`` work from the deque (its pull)."""
-            fed = 0
-            while todo and (limit is None or fed < limit):
-                shard = todo.popleft()
-                lo, hi = bounds[shard]
-                if self._dispatch(node, task_id, shard, lo, hi, hw,
-                                  table, inputs, static_owner, pending):
-                    fed += 1
-                else:
-                    todo.appendleft(shard)
-                    break
-            return fed
+        def feed(node: _Node) -> None:
+            """Give ``node`` the next shard from the deque (its pull)."""
+            if not todo:
+                return
+            shard = todo.popleft()
+            lo, hi = bounds[shard]
+            if not self._dispatch(node, task_id, shard, lo, hi, hw, table,
+                                  inputs, static_owner, pending):
+                todo.appendleft(shard)
 
         def refill() -> None:
-            """Hand deque work to live nodes after a fleet change (a
-            join, or shards reclaimed from a dead node)."""
-            if self.steal:
-                busy = set(pending.values())
-                for node in self._live_nodes():
-                    if not todo:
-                        return
-                    if node.slot not in busy:
-                        feed(node, limit=1)
-                return
-            # Static mode recovery: spread reclaimed shards round-robin
-            # over whoever is still alive (the static assignment is per
-            # batch, not sacred across failures).
-            while todo:
-                progressed = 0
-                for node in self._live_nodes():
-                    if not todo:
-                        return
-                    progressed += feed(node, limit=1)
-                if not progressed:
-                    return  # nobody alive took work; await a join
+            """Hand deque work to idle live nodes after a fleet change
+            (a join, or shards reclaimed from a dead node)."""
+            busy = set(pending.values())
+            for node in self._live_nodes():
+                if node.slot not in busy:
+                    feed(node)
 
-        if self.steal:
-            for node in live:
-                feed(node, limit=1)
-        else:
-            # Static mode: every shard goes straight to its owner.  A
-            # shard whose owner died mid-prime stays in the deque; the
-            # owner's ``gone`` event redistributes it below.
-            by_slot = {node.slot: node for node in live}
-            for _ in range(len(todo)):
-                shard = todo.popleft()
-                lo, hi = bounds[shard]
-                if not self._dispatch(by_slot[static_owner[shard]],
-                                      task_id, shard, lo, hi, hw, table,
-                                      inputs, static_owner, pending):
-                    todo.append(shard)
+        for node in live:
+            feed(node)
 
         def lose_node(node: _Node) -> None:
             """Idempotent node-loss handling: expel, reclaim its
@@ -946,16 +867,14 @@ class DistributedBackend(ExecutionBackend):
                         deadline = time.monotonic() + timeout
                     continue
                 _, _, message = event
-                status, done_id, lo, hi, payload, elapsed = message
+                status, done_id, lo, hi, payload = message
                 if done_id != task_id or (lo, hi) not in pending:
                     continue  # stale ack from a recovered attempt
                 if status == "ok":
                     del pending[(lo, hi)]
                     for field, _ in REPORT_FIELDS:
                         outputs[field][lo:hi] = payload[field]
-                    self._observe_shard(node.slot, hi - lo, elapsed)
-                    if self.steal:
-                        feed(node, limit=1)
+                    feed(node)
                 elif status == "fault":
                     attempts = self._account_recovery(
                         task_id, attempts, "fault",
@@ -971,8 +890,7 @@ class DistributedBackend(ExecutionBackend):
                     # process backend); drain the rest, then surface.
                     failures.append((node.slot, payload))
                     del pending[(lo, hi)]
-                    if self.steal:
-                        feed(node, limit=1)
+                    feed(node)
                 continue
             # Quiet poll window: check the deadline; socket EOF (not a
             # liveness poll) is what reports dead nodes here.
@@ -1039,5 +957,4 @@ class DistributedBackend(ExecutionBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "external" if self.bind else "self-spawned"
-        return (f"DistributedBackend(nodes={self.nodes}, mode={mode}, "
-                f"steal={self.steal})")
+        return f"DistributedBackend(nodes={self.nodes}, mode={mode})"

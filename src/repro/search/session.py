@@ -658,9 +658,7 @@ class SearchSession:
                 nodes=self.spec.resolved_nodes(),
                 min_batch_per_worker=(
                     self.spec.resolved_dispatch_min_batch()),
-                task_timeout_s=self.spec.resolved_task_timeout_s(),
-                autotune=self.spec.resolved_autotune(),
-                auto_dispatch=self.spec.dispatch_is_auto())
+                task_timeout_s=self.spec.resolved_task_timeout_s())
             observers.append(coordinator)
         self._observers = tuple(observers)
         tracker = _Tracker(callbacks)
@@ -686,7 +684,6 @@ class SearchSession:
                 "repro_version": repro.__version__,
                 "method_kind": self.info.kind,
                 "executor": executor,
-                "autotune": self.spec.resolved_autotune(),
                 "envs": context.envs,
                 "started_at": started_at,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

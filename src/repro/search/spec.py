@@ -108,12 +108,7 @@ class SearchSpec:
             ``$REPRO_DISPATCH_MIN``, else the executor's calibrated
             per-transport default (see
             :data:`repro.parallel.backend.TRANSPORT_MIN_BATCH`); ``0``
-            disables the fallback.  ``"auto"`` (spec or env) calibrates
-            the crossover at runtime instead: the first batches time
-            inline vs sharded execution and freeze a measured
-            per-transport threshold (see
-            :class:`repro.parallel.tuning.BreakEvenCalibrator`).  Never
-            affects results.
+            disables the fallback.  Never affects results.
         envs: Lockstep episode count for episodic-RL methods: the agent
             rolls ``envs`` episodes per wave through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
@@ -131,14 +126,6 @@ class SearchSpec:
             :class:`repro.parallel.ProcessBackend`).  ``None`` defers to
             ``$REPRO_TASK_TIMEOUT``; ``0`` explicitly disables the
             deadline.  Recovery never affects results, only wall-clock.
-        autotune: Profile-guided adaptive shard planning: parallel
-            backends size initial shards proportional to each
-            worker/node's measured rows/sec (EWMA over per-shard timing
-            echoes; see :mod:`repro.parallel.tuning`), instead of the
-            static uniform round-robin.  ``None`` defers to
-            ``$REPRO_AUTOTUNE`` (default off).  Scheduling only -- the
-            kernel is shard-invariant, so results are bit-identical
-            with autotune on or off (the parity suite locks this).
     """
 
     model: str
@@ -160,10 +147,9 @@ class SearchSpec:
     executor: Optional[str] = None
     workers: Optional[int] = None
     nodes: Optional[int] = None
-    dispatch_min_batch: Optional[object] = None  # int >= 0 or "auto"
+    dispatch_min_batch: Optional[int] = None
     envs: Optional[int] = None
     task_timeout_s: Optional[float] = None
-    autotune: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, str):
@@ -207,13 +193,12 @@ class SearchSpec:
         if self.nodes is not None and self.nodes < 1:
             raise ValueError("nodes must be >= 1 (or None for auto)")
         if self.dispatch_min_batch is not None \
-                and self.dispatch_min_batch != "auto" \
                 and (not isinstance(self.dispatch_min_batch, int)
                      or self.dispatch_min_batch < 0):
             raise ValueError(
                 "dispatch_min_batch must be an int >= 0 (0 disables the "
-                "adaptive fallback), \"auto\" (runtime break-even "
-                "calibration), or None (defer to $REPRO_DISPATCH_MIN)")
+                "adaptive fallback) or None (defer to "
+                "$REPRO_DISPATCH_MIN)")
         if self.envs is not None and self.envs < 1:
             raise ValueError(
                 "envs must be >= 1 (or None to defer to $REPRO_ENVS)")
@@ -221,11 +206,6 @@ class SearchSpec:
             raise ValueError(
                 "task_timeout_s must be >= 0 (0 disables the deadline, "
                 "None defers to $REPRO_TASK_TIMEOUT)")
-        if self.autotune is not None \
-                and not isinstance(self.autotune, bool):
-            raise ValueError(
-                "autotune must be True, False, or None (defer to "
-                "$REPRO_AUTOTUNE)")
 
     # ------------------------------------------------------------------
     def resolved_executor(self) -> str:
@@ -291,40 +271,12 @@ class SearchSpec:
     def resolved_dispatch_min_batch(self) -> int:
         """The effective adaptive-dispatch threshold (spec,
         ``$REPRO_DISPATCH_MIN``, the executor's calibrated per-transport
-        break-even).  Under ``"auto"`` this is the *fallback* the
-        runtime calibrator freezes to when probing stays inconclusive."""
-        if self.dispatch_is_auto():
-            from repro.parallel.backend import (
-                DEFAULT_DISPATCH_MIN_BATCH,
-                TRANSPORT_MIN_BATCH,
-            )
-
-            return TRANSPORT_MIN_BATCH.get(self.resolved_executor(),
-                                           DEFAULT_DISPATCH_MIN_BATCH)
+        break-even)."""
         if self.dispatch_min_batch is not None:
             return self.dispatch_min_batch
         from repro.parallel.backend import default_dispatch_min_batch
 
         return default_dispatch_min_batch(self.resolved_executor())
-
-    def dispatch_is_auto(self) -> bool:
-        """Whether the inline-vs-shard crossover should be calibrated
-        at runtime (spec or ``$REPRO_DISPATCH_MIN`` says "auto")."""
-        if self.dispatch_min_batch == "auto":
-            return True
-        if self.dispatch_min_batch is None:
-            env = os.environ.get("REPRO_DISPATCH_MIN", "")
-            return env.strip().lower() == "auto"
-        return False
-
-    def resolved_autotune(self) -> bool:
-        """Whether adaptive shard planning is on (spec,
-        ``$REPRO_AUTOTUNE``, off)."""
-        if self.autotune is not None:
-            return self.autotune
-        from repro.parallel.tuning import default_autotune
-
-        return default_autotune()
 
     # ------------------------------------------------------------------
     @property
@@ -365,10 +317,16 @@ class SearchSpec:
 
         Documents saved while the spec still had a ``kernel`` field load
         with the key dropped, unless they name a removed kernel the
-        batched engine does not stand in for (a ``ValueError``).
+        batched engine does not stand in for (a ``ValueError``).  The
+        removed ``autotune`` key is dropped whatever its value, and a
+        legacy ``dispatch_min_batch: "auto"`` loads as ``None``: both
+        only moved shard boundaries, never results.
         """
+        data = dict(data)
+        data.pop("autotune", None)
+        if data.get("dispatch_min_batch") == "auto":
+            data["dispatch_min_batch"] = None
         if "kernel" in data:
-            data = dict(data)
             kernel = data.pop("kernel")
             reason = _LEGACY_KERNELS.get(kernel, "not a kernel name")
             if reason is not None:

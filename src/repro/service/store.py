@@ -16,7 +16,7 @@ with
 * ``envs`` resolved (``None`` / ``$REPRO_ENVS`` / explicit ``1`` all
   mean the same scalar-stepping scenario), and
 * the execution-only knobs (``executor`` / ``workers`` / ``nodes`` /
-  ``dispatch_min_batch`` / ``task_timeout_s`` / ``autotune``) dropped --
+  ``dispatch_min_batch`` / ``task_timeout_s``) dropped --
   the parity suites hold results bit-identical across backends, so a
   result computed on a process pool *is* the serial result.
 
@@ -66,7 +66,6 @@ EXECUTION_ONLY_FIELDS = (
     "nodes",
     "dispatch_min_batch",
     "task_timeout_s",
-    "autotune",
 )
 
 

@@ -17,7 +17,7 @@ fleet-lifecycle contracts those result-level suites cannot see:
 * teardown hygiene -- after ``shutdown()`` / ``on_teardown`` no node
   agents, listener sockets, or reader threads are left behind;
 * work stealing -- idle nodes drain the shared shard deque, counted in
-  ``stolen_shards``; static round-robin dispatch stays available.
+  ``stolen_shards``; stealing is the only distributed schedule.
 """
 
 from __future__ import annotations
@@ -227,30 +227,26 @@ def test_coordinator_teardown_leaves_no_fleet(workload):
         sock.bind(("127.0.0.1", port))
 
 
-def test_work_stealing_counts_and_static_mode(workload, monkeypatch):
-    """With stealing on, a 4-node fleet pulls shards off the shared
-    deque (counted whenever a shard lands off its static owner); with
-    stealing off, every shard goes to its round-robin owner and the
-    counter stays zero.  Both modes are bit-identical."""
+def test_work_stealing_pulls_shards_off_the_deque(workload, monkeypatch):
+    """A 4-node fleet pulls shards off the shared deque (counted
+    whenever a shard lands off its static owner) and the gathered
+    report is bit-identical to the serial kernel."""
     # Exact scheduling counters only hold fault-free: an env-injected
-    # kill (the chaos CI legs) re-dispatches the dead node's shard to a
-    # survivor, which counts as a steal even with ``steal=False``.
+    # kill (the chaos CI legs) re-dispatches the dead node's shard.
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     model, table, inputs, reference = workload
-    stealing = DistributedBackend(nodes=4, shards_per_node=4)
+    stealing = DistributedBackend(nodes=4)
     try:
         _assert_matches(stealing.evaluate(model.hw, table, *inputs),
                         reference)
         assert stealing.sharded_batches == 1
     finally:
         stealing.shutdown()
-    static = DistributedBackend(nodes=2, steal=False)
-    try:
-        _assert_matches(static.evaluate(model.hw, table, *inputs),
-                        reference)
-        assert static.stolen_shards == 0
-    finally:
-        static.shutdown()
+
+
+def test_static_scheduling_mode_is_gone():
+    with pytest.raises(TypeError):
+        DistributedBackend(steal=False)
 
 
 def test_break_even_inlines_small_batches(workload):
@@ -308,17 +304,19 @@ def test_malformed_handshakes_leave_the_accept_loop_running(workload,
 
 def test_old_protocol_hello_is_closed_and_never_registered(workload,
                                                           monkeypatch):
-    """An agent speaking protocol version 2 (whose ``load`` frames still
-    carried a kernel name) is hung up on at handshake."""
+    """Agents speaking protocol version 2 (whose ``load`` frames still
+    carried a kernel name) or 3 (whose replies still carried a timing
+    echo) are hung up on at handshake."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     _, _, _, reference = workload
-    assert PROTOCOL_VERSION == 3
+    assert PROTOCOL_VERSION == 4
     port = _free_port()
     backend, evaluating, results = _start_external(workload, port)
     try:
-        assert _coordinator_hangs_up(
-            port, lambda sock: send_frame(
-                sock, ("hello", 2, None, "old-agent", 1)))
+        for version in (2, 3):
+            assert _coordinator_hangs_up(
+                port, lambda sock: send_frame(
+                    sock, ("hello", version, None, "old-agent", 1)))
         assert backend.connected_nodes == 0
         assert backend.fleet_nodes == 0
         _join_agent(port, evaluating, results, reference)

@@ -82,6 +82,27 @@ class TestRunner:
         for result in results.values():
             assert len(result.history) == 20
 
+    @pytest.mark.parametrize("executor", ["thread", "distributed"])
+    def test_compare_methods_uses_the_transport_break_even(
+            self, executor, monkeypatch):
+        """The grid's backend gets the executor's break-even, the same
+        threshold a SearchSpec session resolves for that executor."""
+        import repro.parallel
+        from repro.parallel import SerialBackend, TRANSPORT_MIN_BATCH
+
+        monkeypatch.delenv("REPRO_DISPATCH_MIN", raising=False)
+        handed = []
+
+        def spy(name, workers=None, min_batch_per_worker=0, **_kwargs):
+            handed.append(min_batch_per_worker)
+            return SerialBackend()
+
+        monkeypatch.setattr(repro.parallel, "make_backend", spy)
+        task = TaskSpec(model="ncf", platform="cloud")
+        compare_methods(task, ["random"], epochs=5, executor=executor,
+                        workers=2)
+        assert handed == [TRANSPORT_MIN_BATCH[executor]]
+
     def test_compare_methods_cache_hits_and_interop(self, cost_model,
                                                     tmp_path):
         """The grid shares the service's content-addressed store: a

@@ -397,8 +397,12 @@ class TestAdaptiveDispatch:
         for executor, want in TRANSPORT_MIN_BATCH.items():
             spec = SearchSpec(model="mobilenet_v2", executor=executor)
             assert spec.resolved_dispatch_min_batch() == want
-        with pytest.raises(ValueError, match="dispatch_min_batch"):
-            SearchSpec(model="mobilenet_v2", dispatch_min_batch=-1)
+        for bad in (-1, "sometimes", "auto"):
+            with pytest.raises(ValueError, match="dispatch_min_batch"):
+                SearchSpec(model="mobilenet_v2", dispatch_min_batch=bad)
+        monkeypatch.setenv("REPRO_DISPATCH_MIN", "auto")
+        with pytest.raises(ValueError, match="REPRO_DISPATCH_MIN"):
+            SearchSpec(model="mobilenet_v2").resolved_dispatch_min_batch()
 
     def test_adaptive_session_bit_identical_to_forced_sharding(self):
         """The whole point: dispatch is a latency knob, never a results

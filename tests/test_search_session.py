@@ -334,6 +334,25 @@ class TestSessionResult:
         with pytest.raises(ValueError, match="kernel"):
             SearchSpec.from_dict({"model": "ncf", "kernel": "warp-speed"})
 
+    def test_loads_documents_saved_with_adaptive_scheduling(self,
+                                                            cost_model):
+        """``autotune`` and ``dispatch_min_batch: "auto"`` only moved
+        shard boundaries, so documents carrying them load (the key
+        dropped, "auto" as ``None``) and rerun to the saved result."""
+        document = json.loads(self.PRE_KERNEL_REMOVAL_DOC)
+        document["spec"]["autotune"] = True
+        document["spec"]["dispatch_min_batch"] = "auto"
+        loaded = SessionResult.from_json(json.dumps(document))
+        assert "autotune" not in loaded.spec.to_dict()
+        assert loaded.spec.dispatch_min_batch is None
+        rerun = SearchSession(loaded.spec, cost_model=cost_model).run()
+        assert rerun.best_cost == loaded.best_cost
+        assert rerun.best_assignments == loaded.best_assignments
+
+    def test_spec_has_no_autotune_field(self):
+        with pytest.raises(TypeError):
+            SearchSpec(model="ncf", autotune=True)
+
     def test_session_validates_method_eagerly(self):
         with pytest.raises(KeyError, match="unknown method"):
             SearchSession(SearchSpec(model="ncf", method="alphago"))

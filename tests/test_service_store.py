@@ -51,6 +51,13 @@ class TestResultKey:
         assert len(key) == 64
         int(key, 16)  # hex
 
+    def test_key_is_stable_across_releases(self, monkeypatch):
+        """Store entries written by earlier releases must keep hitting:
+        the key of a fixed spec is pinned to its recorded digest."""
+        monkeypatch.delenv("REPRO_ENVS", raising=False)
+        assert result_key(_spec()) == (
+            "823b32edfda162a6d14471b80a0ef883172b33fe8bc44bfe4469cff2524eac7f")
+
     def test_execution_knobs_do_not_change_the_key(self):
         base = result_key(_spec())
         assert result_key(_spec(executor="process", workers=4)) == base
@@ -58,7 +65,6 @@ class TestResultKey:
                                 dispatch_min_batch=0)) == base
         assert result_key(_spec(task_timeout_s=30.0)) == base
         assert result_key(_spec(executor="distributed", nodes=2)) == base
-        assert result_key(_spec(autotune=True)) == base
         for field in EXECUTION_ONLY_FIELDS:
             assert field not in canonical_identity(_spec())
 
