@@ -45,6 +45,7 @@ from repro.core.reporting import format_table
 from repro.costmodel import CostModel
 from repro.models import get_model, list_models
 from repro.models.layers import summarize
+from repro.parallel.backend import EXECUTORS
 from repro.search import (
     ProgressReporter,
     SearchSession,
@@ -466,15 +467,12 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                         help="restrict to the first N layers (0 = all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--executor", default=None,
-                        choices=["serial", "thread", "process", "chaos",
-                                 "distributed"],
+                        choices=EXECUTORS,
                         help="population-evaluation backend (default: "
                              "$REPRO_EXECUTOR or serial; results are "
-                             "bit-identical across backends; chaos is "
-                             "process with deterministic fault injection "
-                             "from $REPRO_FAULTS or a seeded default; "
-                             "distributed shards over repro worker node "
-                             "agents)")
+                             "bit-identical across backends, even under "
+                             "$REPRO_FAULTS fault injection; distributed "
+                             "shards over repro worker node agents)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for parallel executors "
                              "(default: $REPRO_WORKERS, else available "
@@ -559,8 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="max_concurrent",
                        help="sessions in flight at once (default: 2)")
     serve.add_argument("--executor", default=None,
-                       choices=["serial", "thread", "process", "chaos",
-                                "distributed"],
+                       choices=EXECUTORS,
                        help="shared pool backend for every job (default: "
                             "$REPRO_EXECUTOR or serial); non-serial pools "
                             "stay warm across jobs")

@@ -8,7 +8,6 @@ exactly the same problem.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
@@ -31,13 +30,9 @@ def default_epochs(fallback: int = 200) -> int:
     The paper uses Eps = 5000; benches default to a scaled-down budget so
     the whole suite completes in minutes (see DESIGN.md substitutions).
     """
-    value = os.environ.get("REPRO_EPOCHS")
-    if value is None:
-        return fallback
-    epochs = int(value)
-    if epochs < 1:
-        raise ValueError("REPRO_EPOCHS must be >= 1")
-    return epochs
+    from repro.parallel.backend import env_number
+
+    return env_number("REPRO_EPOCHS", int, 1, fallback)
 
 
 @dataclass

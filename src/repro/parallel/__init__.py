@@ -4,23 +4,24 @@ The batched cost-model engine made ``evaluate_population`` the unit of
 work; this package shards that unit across execution backends:
 
 * :func:`~repro.parallel.backend.make_backend` builds a ``serial`` /
-  ``thread`` / ``process`` / ``chaos`` :class:`~repro.parallel.backend
-  .ExecutionBackend`; the process backend hands batches to persistent
-  workers via zero-copy shared memory (:mod:`repro.parallel.shm`) and
-  *supervises* them -- dead or hung workers are respawned and their lost
-  shards re-dispatched, bounded by a retry budget
-  (:mod:`repro.parallel.errors` is the failure taxonomy).
+  ``thread`` / ``process`` / ``distributed``
+  :class:`~repro.parallel.backend.ExecutionBackend`; the process backend
+  hands batches to persistent workers via zero-copy shared memory
+  (:mod:`repro.parallel.shm`).
 * :class:`~repro.parallel.distributed.DistributedBackend` extends the
   ladder past one host: batches shard over socket-connected
   ``repro worker`` node agents (self-spawned localhost fleet, or an
-  external one via ``$REPRO_BIND``), with pull-based work stealing and
-  the same supervision/recovery contract.
+  external one via ``$REPRO_BIND``).
+* :class:`~repro.parallel.backend.SupervisedBackend` is the scheduler
+  core under both: dead or hung workers are replaced and their lost
+  shards re-dispatched, bounded by a retry budget
+  (:mod:`repro.parallel.errors` is the failure taxonomy).
 * :class:`~repro.parallel.backend.ResilientBackend` adds the
   distributed -> process -> thread -> serial degradation ladder on top
   of any backend.
 * :class:`~repro.parallel.faults.FaultPlan` scripts deterministic
-  worker kills / injected exceptions / delays (``$REPRO_FAULTS``, the
-  ``chaos`` executor), so every recovery path is tested, not hoped for.
+  worker kills / injected exceptions / delays (``$REPRO_FAULTS`` or
+  ``fault_plan=``), so every recovery path is tested, not hoped for.
 * :class:`~repro.parallel.coordinator.ParallelCoordinator` is the
   session observer that owns worker lifecycle and surfaces the
   fault-tolerance counters into ``SessionResult.provenance``; sessions
@@ -29,9 +30,9 @@ work; this package shards that unit across execution backends:
 * Scheduling is static, one policy per transport.  Batches below the
   measured per-transport break-even
   (:data:`~repro.parallel.backend.TRANSPORT_MIN_BATCH`) run in-process;
-  the thread and process backends split the rest into uniform
-  round-robin shards (:func:`~repro.parallel.backend.shard_bounds`),
-  the distributed backend into finer shards that idle nodes pull.
+  the thread and process backends split the rest into one uniform
+  shard per worker (:func:`~repro.parallel.backend.shard_bounds`), the
+  distributed backend into finer shards that idle nodes pull.
 
 Every backend is bit-identical to the serial kernel -- crash-free,
 recovered, or degraded -- the determinism suite in
@@ -47,6 +48,7 @@ from repro.parallel.backend import (
     ProcessBackend,
     ResilientBackend,
     SerialBackend,
+    SupervisedBackend,
     ThreadBackend,
     TRANSPORT_MIN_BATCH,
     default_dispatch_min_batch,
@@ -89,6 +91,7 @@ __all__ = [
     "ProcessBackend",
     "ResilientBackend",
     "SerialBackend",
+    "SupervisedBackend",
     "TRANSPORT_MIN_BATCH",
     "TaskTimeoutError",
     "ThreadBackend",

@@ -10,7 +10,8 @@ outputs back at their offsets: the gathered report is bit-identical to a
 single serial call, which is the invariant the parity suite in
 ``tests/test_parallel_parity.py`` locks down.
 
-Four backends ship:
+Four transports ship (``distributed`` lives in
+:mod:`repro.parallel.distributed`):
 
 * :class:`SerialBackend` -- the in-process kernel (the do-nothing
   reference implementation every other backend must match bit for bit).
@@ -20,15 +21,13 @@ Four backends ship:
   with zero-copy array handoff via :mod:`repro.parallel.shm`.  Workers
   are spawned once, reused for every batch of a session, and shut down
   deterministically (``shutdown``, context-manager exit, or finalizer).
-  The backend *supervises* its pool: a worker that dies or hangs
-  mid-batch is respawned, its cached tables re-shipped, and only the
-  lost shards re-dispatched -- bounded by a retry budget with
-  exponential backoff -- so the recovered batch is bit-identical to a
-  crash-free run (the kernel is pure and shard-invariant).
-* ``chaos`` -- the process backend with a deterministic
-  :class:`~repro.parallel.faults.FaultPlan` always attached
-  (``$REPRO_FAULTS`` or a default seeded plan), so every recovery path
-  is exercised by ordinary test runs.
+* :class:`~repro.parallel.distributed.DistributedBackend` -- shards
+  across socket-connected node agents.
+
+The process pool and the socket fleet are two data planes on one
+scheduler core, :class:`SupervisedBackend`, which replaces a worker that
+dies or hangs mid-batch and re-dispatches only its lost shards, so a
+recovered batch is bit-identical to a crash-free run.
 
 :class:`ResilientBackend` wraps any parallel backend in the degradation
 ladder: when a pool fails outright (retry budget exhausted -- an
@@ -42,9 +41,13 @@ Pick one by name with :func:`make_backend`.
 
 from __future__ import annotations
 
+import math
 import os
+import queue
+import threading
 import time
 import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,7 +68,7 @@ from repro.parallel.errors import (
     WorkerCrashError,
 )
 from repro.parallel.faults import FaultPlan
-from repro.parallel.shm import BatchBlock, mute_resource_tracker
+from repro.parallel.shm import INPUT_FIELDS, BatchBlock, mute_resource_tracker
 
 __all__ = [
     "DEFAULT_DISPATCH_MIN_BATCH",
@@ -76,23 +79,22 @@ __all__ = [
     "ProcessBackend",
     "ResilientBackend",
     "SerialBackend",
+    "SupervisedBackend",
     "ThreadBackend",
     "TRANSPORT_MIN_BATCH",
     "default_dispatch_min_batch",
     "default_max_retries",
     "default_task_timeout",
     "default_workers",
+    "execution_stats",
     "make_backend",
     "shard_bounds",
 ]
 
 #: Names accepted by :func:`make_backend` and ``SearchSpec.executor``.
-#: ``chaos`` is the process backend with a deterministic fault plan
-#: attached -- same results, injected failures.  ``distributed`` shards
-#: over socket-connected node agents (see
+#: ``distributed`` shards over socket-connected node agents (see
 #: :mod:`repro.parallel.distributed`).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "chaos",
-                              "distributed")
+EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "distributed")
 
 #: Per-batch recovery budget: how many crash/timeout/fault recoveries a
 #: single ``evaluate`` call may spend before raising (override with
@@ -126,22 +128,34 @@ TRANSPORT_MIN_BATCH: Dict[str, int] = {
     "serial": 0,           # no dispatch cost to amortize
     "thread": 128,
     "process": DEFAULT_DISPATCH_MIN_BATCH,
-    "chaos": DEFAULT_DISPATCH_MIN_BATCH,
     "distributed": 1024,
 }
+
+
+def env_number(name: str, parse, minimum, default):
+    """``$name`` parsed with ``parse`` (``int`` or ``float``), else
+    ``default`` when unset.  A malformed, non-finite, or below-``minimum``
+    value raises a ``ValueError`` naming the variable."""
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        number = parse(value)
+    except ValueError:
+        number = None
+    if number is None or not math.isfinite(number) or number < minimum:
+        kind = "an integer" if parse is int else "a finite number"
+        raise ValueError(f"{name} must be {kind} >= {minimum}, "
+                         f"got {value!r}")
+    return number
 
 
 def default_workers() -> int:
     """Worker count when none is requested: ``$REPRO_WORKERS`` if set,
     else every available core (capped at 8 -- the batch sizes this
     repository produces stop scaling long before that)."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env is not None:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError(f"REPRO_WORKERS must be >= 1, got {env!r}")
-        return workers
-    return max(1, min(8, os.cpu_count() or 1))
+    return env_number("REPRO_WORKERS", int, 1,
+                      max(1, min(8, os.cpu_count() or 1)))
 
 
 def default_dispatch_min_batch(executor: Optional[str] = None) -> int:
@@ -150,45 +164,22 @@ def default_dispatch_min_batch(executor: Optional[str] = None) -> int:
     transport's measured break-even from :data:`TRANSPORT_MIN_BATCH`
     (:data:`DEFAULT_DISPATCH_MIN_BATCH` when ``executor`` is ``None``
     or unknown -- the pre-calibration behavior)."""
-    env = os.environ.get("REPRO_DISPATCH_MIN")
-    if env is not None:
-        try:
-            threshold = int(env)
-        except ValueError:
-            threshold = -1
-        if threshold < 0:
-            raise ValueError(
-                f"REPRO_DISPATCH_MIN must be an integer >= 0, got {env!r}")
-        return threshold
-    if executor is None:
-        return DEFAULT_DISPATCH_MIN_BATCH
-    return TRANSPORT_MIN_BATCH.get(executor, DEFAULT_DISPATCH_MIN_BATCH)
+    return env_number("REPRO_DISPATCH_MIN", int, 0,
+                      TRANSPORT_MIN_BATCH.get(executor,
+                                              DEFAULT_DISPATCH_MIN_BATCH))
 
 
 def default_max_retries() -> int:
     """Per-batch recovery budget when none is requested:
     ``$REPRO_MAX_RETRIES`` if set (0 disables recovery: the first
     failure raises), else :data:`DEFAULT_MAX_RETRIES`."""
-    env = os.environ.get("REPRO_MAX_RETRIES")
-    if env is not None:
-        retries = int(env)
-        if retries < 0:
-            raise ValueError(f"REPRO_MAX_RETRIES must be >= 0, got {env!r}")
-        return retries
-    return DEFAULT_MAX_RETRIES
+    return env_number("REPRO_MAX_RETRIES", int, 0, DEFAULT_MAX_RETRIES)
 
 
 def default_task_timeout() -> float:
     """Per-batch deadline in seconds when none is requested:
     ``$REPRO_TASK_TIMEOUT`` if set, else 0 (no deadline)."""
-    env = os.environ.get("REPRO_TASK_TIMEOUT")
-    if env is not None:
-        timeout = float(env)
-        if timeout < 0:
-            raise ValueError(
-                f"REPRO_TASK_TIMEOUT must be >= 0, got {env!r}")
-        return timeout
-    return 0.0
+    return env_number("REPRO_TASK_TIMEOUT", float, 0, 0.0)
 
 
 def shard_bounds(batch: int, shards: int) -> List[Tuple[int, int]]:
@@ -297,7 +288,7 @@ class ThreadBackend(ExecutionBackend):
     ``raise_in_kernel`` applies here, keyed ``(batch_idx, shard_idx)``
     and checked at dispatch time: it raises
     :class:`~repro.parallel.errors.FaultInjected` out of ``evaluate``
-    (fire-once), which is how a chaos run exercises the degradation
+    (fire-once), which is how a fault run exercises the degradation
     ladder's middle rung.
     """
 
@@ -359,147 +350,106 @@ class ThreadBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Process backend
+# Supervised scheduler core
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: int, task_queue, result_queue,
-                 faults: Optional[dict] = None) -> None:
-    """Worker loop: evaluate shards of shared-memory batches until told
-    to exit.  Tables and hardware constants arrive once per search
-    (``load`` messages) and are cached by id; per-batch messages carry
-    only the segment descriptor, so the arrays themselves never cross
-    the queue.
+def _fault_script(faults: Optional[dict]):
+    """The worker side of one worker's fault-plan slice (the wire
+    format of :meth:`SupervisedBackend._fault_wire`, or ``None``).
 
-    ``faults`` is this worker's slice of a
-    :class:`~repro.parallel.faults.FaultPlan` (``{"kill": [batch...],
-    "raise": [batch...], "delay": [[batch, seconds]...]}``), shipped at
-    spawn time; respawned workers receive a pruned copy so a consumed
-    fault never re-fires.  Kills exit before the segment is touched,
-    raises fire once each and are reported with the dedicated
-    ``"fault"`` status (retryable), and delays sleep before evaluating.
+    Returns ``run(task_id, where, compute)``, which evaluates one shard
+    under the script -- kills exit before the shard is touched, delays
+    sleep first, raises fire once each -- and returns ``("ok",
+    compute())``, ``("fault", repr)`` (retryable) or ``("error", repr
+    and traceback)``.
     """
-    mute_resource_tracker()
     kill_at = list(faults["kill"]) if faults else []
     raise_at = list(faults["raise"]) if faults else []
     delay_at: Dict[int, float] = {}
-    if faults:
-        for batch_idx, seconds in faults["delay"]:
-            delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
-    tables: Dict[int, Tuple[HardwareConfig, LayerTable]] = {}
-    while True:
-        message = task_queue.get()
-        if message is None:
-            break
-        kind = message[0]
-        if kind == "load":
-            _, table_id, hw, layers = message
-            tables[table_id] = (hw, LayerTable.build(layers))
-            continue
-        _, task_id, segment_name, batch, lo, hi, table_id = message
+    for batch_idx, seconds in (faults["delay"] if faults else ()):
+        delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
+
+    def run(task_id: int, where: str, compute):
         if task_id in kill_at:
             os._exit(1)
         delay = delay_at.pop(task_id, 0.0)
         if delay:
             time.sleep(delay)
-        status, detail = "ok", None
         try:
             if task_id in raise_at:
                 raise_at.remove(task_id)
                 raise FaultInjected(
-                    f"injected fault in worker {worker_id} at batch "
-                    f"{task_id}")
-            hw, table = tables[table_id]
-            block = BatchBlock.attach(segment_name, batch)
-            try:
-                report = evaluate_batch_kernel(
-                    hw, table,
-                    block.inputs["layer_idx"][lo:hi],
-                    block.inputs["style_idx"][lo:hi],
-                    block.inputs["pes"][lo:hi],
-                    block.inputs["l1_bytes"][lo:hi])
-                block.write_report(report, lo, hi)
-            finally:
-                block.close()
+                    f"injected fault in {where} at batch {task_id}")
+            return "ok", compute()
         except FaultInjected as error:
-            status, detail = "fault", repr(error)
+            return "fault", repr(error)
         except BaseException as error:  # noqa: BLE001 - forwarded verbatim
             import traceback
 
-            status, detail = "error", f"{error!r}\n{traceback.format_exc()}"
-        result_queue.put((task_id, worker_id, lo, hi, status, detail))
+            return "error", f"{error!r}\n{traceback.format_exc()}"
+
+    return run
 
 
-class ProcessBackend(ExecutionBackend):
-    """Shard batches across persistent, *supervised* worker processes.
+class SupervisedBackend(ExecutionBackend):
+    """The dispatch-and-recovery loop shared by every worker transport.
 
-    Workers are spawned lazily on the first batch (once per backend
-    lifetime), reused for every subsequent batch -- a whole session's
-    generations -- and shut down via :meth:`shutdown` / context exit; a
-    ``weakref.finalize`` guard reaps them if the owner forgets.  Each
-    batch travels through one shared-memory segment (see
-    :mod:`repro.parallel.shm`); each worker gets a dedicated task queue
-    so shard routing -- and therefore table shipping -- is deterministic.
+    A subclass is a *data plane* over workers named by integer keys.
+    It answers these hooks, and :meth:`_run_task` does the rest:
 
-    Supervision: a worker that dies mid-batch (OOM kill, segfault,
-    injected fault) is detected by the result-wait loop, respawned with
-    a fresh task queue, its cached tables re-shipped, and only its lost
-    shards re-dispatched -- after an exponential backoff, bounded per
-    batch by ``max_retries``.  A batch that misses ``task_timeout_s``
-    has its hung workers terminated and recovered the same way.  The
-    batched kernel is pure and shard-invariant, so a recovered batch is
-    bit-identical to a crash-free one.  Exhausting the budget raises
-    :class:`~repro.parallel.errors.WorkerCrashError` /
-    :class:`~repro.parallel.errors.TaskTimeoutError` (both
-    :class:`~repro.parallel.errors.ExecutionError`, the degradation
-    ladder's cue) with the pool shut down for a clean restart.
+    * ``_live_workers()`` -- keys that can take a shard now;
+    * ``_send(key, task_id, lo, hi, job)`` -- dispatch a shard, False
+      if the worker is gone;
+    * ``_next_events(wait, busy)`` -- ``("ack", key, status, task_id,
+      lo, hi, payload)``, ``("gone", key, name)`` or ``("join", key)``
+      events, empty after a quiet window of ``wait`` seconds (``busy``:
+      keys holding shards);
+    * ``_lose(key)`` -- terminate or expel a worker, then replace it;
+    * ``_store(job, lo, hi, payload)`` -- keep an ``ok`` ack's result.
+
+    A batch's shards wait in a deque; each live worker is primed with
+    one and pulls the next when it acks (``stolen_shards`` counts shards
+    run off their static round-robin owner).  A worker that dies holding
+    shards, or holds them past ``task_timeout_s``, is lost and its
+    shards return to the deque -- first to its replacement when that is
+    already live, else to any idle worker; a ``fault`` ack is re-sent to
+    the same worker.  Each of these costs one recovery from the
+    per-batch ``max_retries`` budget, with exponential backoff;
+    exhaustion shuts the backend down and raises an
+    :class:`~repro.parallel.errors.ExecutionError` (the degradation
+    ladder's cue).  An ``error`` ack is a deterministic kernel bug:
+    never retried, it drains with the batch and then raises a plain
+    ``RuntimeError``.  The kernel is pure and shard-invariant, so a
+    recovered batch is bit-identical to a crash-free one.
 
     Args:
-        workers: Worker process count.
-        start_method: ``multiprocessing`` start method; default
-            ``$REPRO_MP_START`` or ``fork`` where available (spawn works
-            too, it just pays a per-worker interpreter start).
-        min_batch_per_worker: Adaptive-dispatch threshold (see
-            :class:`ExecutionBackend`); small batches run in-process and
-            do not spawn the pool.
+        workers / min_batch_per_worker: See :class:`ExecutionBackend`.
         max_retries: Per-batch recovery budget (``None``:
             ``$REPRO_MAX_RETRIES`` or :data:`DEFAULT_MAX_RETRIES`).
         backoff_base_s: First-retry backoff; attempt ``n`` sleeps
             ``backoff_base_s * 2**(n-1)``.
-        task_timeout_s: Per-batch deadline in seconds; 0 disables
-            (``None``: ``$REPRO_TASK_TIMEOUT`` or disabled).
+        task_timeout_s: Finite per-batch deadline in seconds; 0
+            disables (``None``: ``$REPRO_TASK_TIMEOUT`` or disabled).
         fault_plan: Deterministic fault injection script (``None``:
             ``$REPRO_FAULTS`` or no faults).
 
     Attributes:
-        retries / respawns / timeouts: Recovery counters (never reset by
-            :meth:`shutdown`), surfaced into ``SessionResult.provenance``
-            by :class:`~repro.parallel.ParallelCoordinator`.  All stay 0
-            in a crash-free run -- supervision costs nothing until a
-            failure happens.
+        retries / respawns / timeouts / stolen_shards: Counters (never
+            reset by :meth:`shutdown`), surfaced into
+            ``SessionResult.provenance``; the recovery counters stay 0
+            in a crash-free run.
     """
 
-    name = "process"
-
-    #: Liveness/deadline poll interval while waiting on shard acks --
-    #: also the worst-case crash-detection latency.
+    #: Poll interval while waiting on acks -- also the worst-case
+    #: crash-detection latency of planes that poll worker liveness.
     POLL_S = 0.25
 
     def __init__(self, workers: int = 1,
-                 start_method: Optional[str] = None,
                  min_batch_per_worker: int = 0,
                  max_retries: Optional[int] = None,
                  backoff_base_s: float = 0.05,
                  task_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         super().__init__(workers, min_batch_per_worker)
-        import multiprocessing
-
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START")
-        if start_method is None:
-            start_method = ("fork" if "fork"
-                            in multiprocessing.get_all_start_methods()
-                            else "spawn")
-        self._context = multiprocessing.get_context(start_method)
         self.max_retries = (default_max_retries() if max_retries is None
                             else max_retries)
         if self.max_retries < 0:
@@ -509,50 +459,294 @@ class ProcessBackend(ExecutionBackend):
         self.backoff_base_s = backoff_base_s
         if task_timeout_s is None:
             task_timeout_s = default_task_timeout()
-        if task_timeout_s < 0:
-            raise ValueError("task_timeout_s must be >= 0 (0 disables)")
+        if not math.isfinite(task_timeout_s) or task_timeout_s < 0:
+            raise ValueError(
+                "task_timeout_s must be a finite number >= 0 (0 disables)")
         #: Per-batch deadline; ``None`` means no deadline.
         self.task_timeout_s = float(task_timeout_s) or None
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.fault_plan = fault_plan
         # Mutable per-worker remainders of the plan's consumable fault
-        # kinds: one occurrence is pruned per observed death / hang so a
-        # respawned worker never replays a consumed fault.
+        # kinds: one occurrence is pruned per lost worker so a
+        # replacement never replays a consumed fault.
         self._kills: Dict[int, List[int]] = {}
         self._delays: Dict[int, List[Tuple[int, float]]] = {}
-        if fault_plan is not None:
-            for worker_id in range(workers):
-                self._kills[worker_id] = fault_plan.kills_for(worker_id)
-                self._delays[worker_id] = fault_plan.delays_for(worker_id)
+        #: Guards the fault remainders (and a plane's worker registry)
+        #: against threads that spawn or admit workers.
+        self._lock = threading.Lock()
         self.retries = 0
         self.respawns = 0
         self.timeouts = 0
+        self.stolen_shards = 0
+        self._next_task = 0
+
+    def _knobs(self) -> Dict[str, object]:
+        """The recovery knobs as :func:`make_backend` keywords -- what
+        the degradation ladder carries to the next rung."""
+        return {"max_retries": self.max_retries,
+                "backoff_base_s": self.backoff_base_s,
+                "task_timeout_s": self.task_timeout_s or 0.0,
+                "fault_plan": self.fault_plan}
+
+    def _fault_wire(self, key: int) -> Optional[dict]:
+        """Worker ``key``'s remaining slice of the fault plan, in the
+        wire format :func:`_fault_script` consumes."""
+        if self.fault_plan is None:
+            return None
+        with self._lock:
+            if key not in self._kills:
+                self._kills[key] = self.fault_plan.kills_for(key)
+                self._delays[key] = self.fault_plan.delays_for(key)
+            return {
+                "kill": list(self._kills[key]),
+                "raise": self.fault_plan.raises_for(key),
+                "delay": [[batch, seconds] for batch, seconds
+                          in self._delays[key]],
+            }
+
+    def _store(self, job, lo: int, hi: int, payload) -> None:
+        """Planes whose workers write results in place keep nothing."""
+
+    def _run_task(self, batch: int, shards_per_worker: int, job) -> None:
+        """Run one batch to completion under the rules above; ``job`` is
+        the plane's per-batch payload for ``_send`` and ``_store``."""
+        task_id = self._next_task
+        self._next_task += 1
+        live = self._live_workers()
+        bounds = shard_bounds(batch, len(live) * shards_per_worker)
+        owner = [live[i % len(live)] for i in range(len(bounds))]
+        index = {shard: i for i, shard in enumerate(bounds)}
+        todo = deque(range(len(bounds)))
+        pending: Dict[Tuple[int, int], int] = {}  # shard -> worker key
+        attempts = 0
+        failures: List[Tuple[int, str]] = []
+        timeout = self.task_timeout_s
+
+        def feed(key: int) -> None:
+            """Worker ``key`` pulls the next shard off the deque."""
+            if not todo:
+                return
+            shard = todo.popleft()
+            if not self._send(key, task_id, *bounds[shard], job):
+                todo.appendleft(shard)
+                return
+            pending[bounds[shard]] = key
+            if owner[shard] != key:
+                self.stolen_shards += 1
+
+        def refill() -> None:
+            """Hand deque work to every idle live worker."""
+            if todo:
+                busy = set(pending.values())
+                for key in self._live_workers():
+                    if key not in busy:
+                        feed(key)
+
+        def lose(key: int) -> None:
+            """Replace worker ``key`` -- minus one occurrence of the kill
+            and delay that explain the loss (plan entries are multisets:
+            duplicates deliberately re-fire) -- and hand its shards back,
+            first to the replacement when that is already live."""
+            with self._lock:
+                kills = self._kills.get(key, [])
+                if task_id in kills:
+                    kills.remove(task_id)
+                delays = self._delays.get(key, [])
+                for entry in delays:
+                    if entry[0] == task_id:
+                        delays.remove(entry)
+                        break
+            self._lose(key)
+            lost = [shard for shard, holder in pending.items()
+                    if holder == key]
+            for shard in lost:
+                del pending[shard]
+            todo.extendleft(index[shard] for shard in reversed(lost))
+            feed(key)
+
+        for key in live:
+            feed(key)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while pending or todo:
+            if not pending:
+                # Nothing in flight to ack (every send failed, or the
+                # fleet emptied and is coming back): drive dispatch.
+                refill()
+            wait = self.POLL_S
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            events = self._next_events(wait, set(pending.values()))
+            for kind, key, *detail in events:
+                if kind == "join":
+                    refill()
+                elif kind == "gone":
+                    if key in pending.values():
+                        # Only a worker holding shards costs the batch a
+                        # recovery; an idle death is just a fleet change.
+                        attempts = self._account_recovery(
+                            task_id, attempts, "crash",
+                            f"worker {detail[0]} died mid-batch",
+                            worker_names=[detail[0]])
+                    lose(key)
+                    refill()
+                    if deadline is not None:
+                        deadline = time.monotonic() + timeout
+                else:
+                    status, done_id, lo, hi, payload = detail
+                    if done_id != task_id or (lo, hi) not in pending:
+                        continue  # stale ack from a recovered attempt
+                    del pending[(lo, hi)]
+                    if status == "ok":
+                        self._store(job, lo, hi, payload)
+                    elif status == "fault":
+                        attempts = self._account_recovery(
+                            task_id, attempts, "fault",
+                            f"injected fault on worker {key}")
+                        todo.appendleft(index[(lo, hi)])
+                    else:
+                        failures.append((key, payload))
+                    feed(key)
+            if (not events and deadline is not None
+                    and time.monotonic() >= deadline):
+                hung = sorted(set(pending.values()))
+                self.timeouts += 1
+                attempts = self._account_recovery(
+                    task_id, attempts, "timeout",
+                    f"missed its {timeout}s deadline ({len(pending)} "
+                    f"shard(s) outstanding)")
+                for key in hung:
+                    lose(key)
+                refill()
+                deadline = time.monotonic() + timeout
+        if failures:
+            key, detail = failures[0]
+            raise RuntimeError(f"{self.name} worker {key} failed:\n{detail}")
+
+    def _account_recovery(self, task_id: int, attempts: int, kind: str,
+                          reason: str, worker_names=()) -> int:
+        """Charge one recovery against the batch budget; raise the
+        matching :class:`~repro.parallel.errors.ExecutionError` when it
+        is spent (with the backend reset so a retrying caller starts
+        clean), else back off exponentially and return the new count."""
+        attempts += 1
+        self.retries += 1
+        if attempts > self.max_retries:
+            self.shutdown()
+            message = (f"{self.name} batch {task_id}: {reason}; retry "
+                       f"budget ({self.max_retries}) exhausted")
+            if kind == "timeout":
+                raise TaskTimeoutError(message,
+                                       timeout_s=self.task_timeout_s or 0.0)
+            if kind == "fault":
+                raise FaultInjected(message)
+            raise WorkerCrashError(message, worker_names=worker_names)
+        if self.backoff_base_s:
+            time.sleep(self.backoff_base_s * 2 ** (attempts - 1))
+        return attempts
+
+
+# ----------------------------------------------------------------------
+# Process backend: the shared-memory data plane
+# ----------------------------------------------------------------------
+def _worker_main(worker_id: int, task_queue, result_queue,
+                 faults: Optional[dict] = None) -> None:
+    """Worker loop: evaluate shards of shared-memory batches until told
+    to exit.  Tables and hardware constants arrive once per search
+    (``load`` messages) and are cached by id; per-batch messages carry
+    only the segment descriptor, so the arrays themselves never cross
+    the queue.  ``faults`` is this worker's fault-plan slice (see
+    :func:`_fault_script`)."""
+    mute_resource_tracker()
+    run = _fault_script(faults)
+    tables: Dict[int, Tuple[HardwareConfig, LayerTable]] = {}
+    while True:
+        message = task_queue.get()
+        if message is None:
+            break
+        if message[0] == "load":
+            _, table_id, hw, layers = message
+            tables[table_id] = (hw, LayerTable.build(layers))
+            continue
+        _, task_id, segment_name, batch, lo, hi, table_id = message
+
+        def compute() -> None:
+            hw, table = tables[table_id]
+            block = BatchBlock.attach(segment_name, batch)
+            try:
+                report = evaluate_batch_kernel(
+                    hw, table,
+                    *(block.inputs[name][lo:hi] for name, _ in INPUT_FIELDS))
+                block.write_report(report, lo, hi)
+            finally:
+                block.close()
+
+        status, detail = run(task_id, f"worker {worker_id}", compute)
+        result_queue.put(("ack", worker_id, status, task_id, lo, hi,
+                          detail))
+
+
+class ProcessBackend(SupervisedBackend):
+    """Shard batches across persistent, *supervised* worker processes.
+
+    Workers are spawned lazily on the first batch (once per backend
+    lifetime), reused for every subsequent batch -- a whole session's
+    generations -- and shut down via :meth:`shutdown` / context exit; a
+    ``weakref.finalize`` guard reaps them if the owner forgets.  Each
+    batch travels through one shared-memory segment (see
+    :mod:`repro.parallel.shm`) cut into one shard per worker; each
+    worker gets a dedicated task queue, so the primed schedule is the
+    deterministic round-robin shard -> worker map and table shipping is
+    deterministic too.
+
+    Supervision is :class:`SupervisedBackend`'s loop: acks are read from
+    one result queue on the calling thread, dead workers are found by
+    ``is_alive`` polls in quiet windows, and a lost worker is respawned
+    synchronously, so its shard goes straight back to the replacement.
+
+    Args:
+        workers: Worker process count.
+        start_method: ``multiprocessing`` start method; default
+            ``$REPRO_MP_START`` or ``fork`` where available (spawn works
+            too, it just pays a per-worker interpreter start).
+        min_batch_per_worker: Adaptive-dispatch threshold (see
+            :class:`ExecutionBackend`); small batches run in-process and
+            do not spawn the pool.
+        max_retries / backoff_base_s / task_timeout_s / fault_plan:
+            The recovery knobs of :class:`SupervisedBackend`.
+    """
+
+    name = "process"
+
+    def __init__(self, workers: int = 1,
+                 start_method: Optional[str] = None,
+                 min_batch_per_worker: int = 0,
+                 max_retries: Optional[int] = None,
+                 backoff_base_s: float = 0.05,
+                 task_timeout_s: Optional[float] = None,
+                 fault_plan: Optional[FaultPlan] = None) -> None:
+        super().__init__(workers, min_batch_per_worker, max_retries,
+                         backoff_base_s, task_timeout_s, fault_plan)
+        import multiprocessing
+
+        if start_method is None:
+            start_method = os.environ.get("REPRO_MP_START")
+        if start_method is None:
+            start_method = ("fork" if "fork"
+                            in multiprocessing.get_all_start_methods()
+                            else "spawn")
+        self._context = multiprocessing.get_context(start_method)
         self._processes: List = []
         self._task_queues: List = []
         self._result_queue = None
-        self._tables: Dict[int, LayerTable] = {}
         self._shipped: List[set] = []
         self._generations: List[int] = []
-        self._next_task = 0
         self._finalizer: Optional[weakref.finalize] = None
 
     # ------------------------------------------------------------------
     @property
     def alive_workers(self) -> int:
         return sum(1 for process in self._processes if process.is_alive())
-
-    def _fault_wire(self, worker_id: int) -> Optional[dict]:
-        """This worker's (remaining) slice of the fault plan, in the
-        wire format ``_worker_main`` consumes."""
-        if self.fault_plan is None:
-            return None
-        return {
-            "kill": list(self._kills.get(worker_id, ())),
-            "raise": self.fault_plan.raises_for(worker_id),
-            "delay": [[batch, seconds] for batch, seconds
-                      in self._delays.get(worker_id, ())],
-        }
 
     def _spawn(self, worker_id: int) -> None:
         generation = self._generations[worker_id]
@@ -582,63 +776,6 @@ class ProcessBackend(ExecutionBackend):
         self._finalizer = weakref.finalize(
             self, _shutdown_workers, self._processes, self._task_queues)
 
-    def _respawn(self, worker_id: int, task_id: int) -> None:
-        """Replace one dead or hung worker: terminate what is left of
-        it, drop its task queue (undelivered messages and sentinels die
-        with it), prune the faults it just consumed, and start a fresh
-        incarnation that will be re-shipped tables on demand."""
-        process = self._processes[worker_id]
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5)
-        old_queue = self._task_queues[worker_id]
-        try:
-            old_queue.cancel_join_thread()
-            old_queue.close()
-        except (OSError, ValueError):  # pragma: no cover - already closed
-            pass
-        # Prune one occurrence of the faults that explain this event so
-        # the replacement does not replay them (entries are multisets:
-        # duplicates deliberately re-fire).
-        kills = self._kills.get(worker_id)
-        if kills and task_id in kills:
-            kills.remove(task_id)
-        delays = self._delays.get(worker_id)
-        if delays:
-            for entry in delays:
-                if entry[0] == task_id:
-                    delays.remove(entry)
-                    break
-        self._task_queues[worker_id] = self._context.Queue()
-        self._shipped[worker_id] = set()
-        self._generations[worker_id] += 1
-        self._spawn(worker_id)
-        self.respawns += 1
-
-    def _ship_table(self, worker_id: int, hw: HardwareConfig,
-                    table: LayerTable) -> int:
-        """Make ``table`` available in a worker; returns its wire id.
-
-        The wire id is the table's never-recycled generation token (the
-        backend also pins every shipped table in ``self._tables``), so a
-        collected table can never alias a later one worker-side.
-        """
-        table_id = table_token(table)
-        self._tables[table_id] = table
-        if table_id not in self._shipped[worker_id]:
-            # A respawned worker starts empty and is re-shipped on
-            # demand.
-            self._task_queues[worker_id].put(
-                ("load", table_id, hw, table.layers))
-            self._shipped[worker_id].add(table_id)
-        return table_id
-
-    def _dispatch(self, worker_id: int, task_id: int, block: BatchBlock,
-                  lo: int, hi: int, hw, table) -> None:
-        table_id = self._ship_table(worker_id, hw, table)
-        self._task_queues[worker_id].put(
-            ("eval", task_id, block.name, block.batch, lo, hi, table_id))
-
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
         batch = layer_idx.size
@@ -651,134 +788,56 @@ class ProcessBackend(ExecutionBackend):
                                          pes, l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
-        task_id = self._next_task
-        self._next_task += 1
         with BatchBlock.allocate(layer_idx, style_idx, pes,
                                  l1_bytes) as block:
-            self._run_task(task_id, block, shard_bounds(batch, self.workers),
-                           hw, table)
+            self._run_task(batch, 1, (block, hw, table))
             return block.gather_report()
 
-    # ------------------------------------------------------------------
-    def _run_task(self, task_id: int, block: BatchBlock, bounds, hw,
-                  table) -> None:
-        """Dispatch one batch's shards and supervise them to completion.
+    # Data-plane hooks ------------------------------------------------
+    def _live_workers(self) -> List[int]:
+        # Respawns are synchronous: every slot is always live.
+        return list(range(self.workers))
 
-        Shards round-robin over the pool.  The loop waits for shard acks
-        while polling worker liveness and the batch deadline; lost
-        shards (dead or hung worker, injected fault) are re-dispatched
-        after recovery, bounded by
-        ``max_retries`` recoveries per batch.  Stale acks -- from a
-        worker terminated after it finished, or an earlier attempt of a
-        recovered shard -- are recognized by (task, shard) bookkeeping
-        and ignored; duplicate writes are idempotent because every
-        attempt computes identical bytes.
-        """
-        import queue as queue_module
+    def _send(self, key, task_id, lo, hi, job) -> bool:
+        block, hw, table = job
+        # Tables ship once per worker incarnation, keyed by their
+        # never-recycled token; a replacement is re-shipped on demand.
+        table_id = table_token(table)
+        if table_id not in self._shipped[key]:
+            self._task_queues[key].put(("load", table_id, hw, table.layers))
+            self._shipped[key].add(table_id)
+        self._task_queues[key].put(
+            ("eval", task_id, block.name, block.batch, lo, hi, table_id))
+        return True
 
-        pending: Dict[Tuple[int, int], int] = {}
-        for shard, (lo, hi) in enumerate(bounds):
-            worker_id = shard % self.workers
-            self._dispatch(worker_id, task_id, block, lo, hi, hw, table)
-            pending[(lo, hi)] = worker_id
-        attempts = 0
-        failures: List[Tuple[int, str]] = []
-        timeout = self.task_timeout_s
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while pending:
-            wait = self.POLL_S
-            if deadline is not None:
-                wait = min(wait, max(0.0, deadline - time.monotonic()))
-            message = None
-            try:
-                message = self._result_queue.get(timeout=wait)
-            except queue_module.Empty:
-                pass
-            if message is not None:
-                done_id, worker_id, lo, hi, status, detail = message
-                if done_id != task_id or (lo, hi) not in pending:
-                    continue  # stale ack from a recovered attempt
-                if status == "ok":
-                    del pending[(lo, hi)]
-                elif status == "fault":
-                    # Injected and explicitly retryable; the worker is
-                    # alive and will not re-fire, so re-dispatch the
-                    # same shard right back to it.
-                    attempts = self._account_recovery(
-                        task_id, attempts, "fault",
-                        f"injected fault on worker {worker_id}")
-                    self._dispatch(worker_id, task_id, block, lo, hi, hw,
-                                   table)
-                else:
-                    # A genuine kernel error is deterministic: burning
-                    # the retry budget (or a downshift) on it would only
-                    # delay the same failure, so surface it -- but only
-                    # after the remaining shards drain, keeping the pool
-                    # consistent for the next batch.
-                    failures.append((worker_id, detail))
-                    del pending[(lo, hi)]
-                continue
-            # Nothing arrived inside the poll window: look for dead
-            # workers among the pending shards, then check the deadline.
-            dead = sorted({wid for wid in pending.values()
-                           if not self._processes[wid].is_alive()})
-            if dead:
-                names = [self._processes[wid].name for wid in dead]
-                attempts = self._account_recovery(
-                    task_id, attempts, "crash",
-                    f"worker(s) died mid-batch: {', '.join(names)}",
-                    worker_names=names)
-                self._recover(task_id, block, pending, dead, hw, table)
-                if deadline is not None:
-                    deadline = time.monotonic() + timeout
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                hung = sorted(set(pending.values()))
-                self.timeouts += 1
-                attempts = self._account_recovery(
-                    task_id, attempts, "timeout",
-                    f"batch {task_id} missed its {timeout}s deadline "
-                    f"({len(pending)} shard(s) outstanding)")
-                self._recover(task_id, block, pending, hung, hw, table)
-                deadline = time.monotonic() + timeout
-        if failures:
-            worker_id, detail = failures[0]
-            raise RuntimeError(
-                f"parallel worker {worker_id} failed:\n{detail}")
+    def _next_events(self, wait, busy) -> List[tuple]:
+        try:
+            return [self._result_queue.get(timeout=wait)]
+        except queue.Empty:
+            # Quiet window: look for dead workers among the busy ones.
+            return [("gone", key, self._processes[key].name)
+                    for key in sorted(busy)
+                    if not self._processes[key].is_alive()]
 
-    def _account_recovery(self, task_id: int, attempts: int, kind: str,
-                          reason: str, worker_names=()) -> int:
-        """Charge one recovery against the batch budget; raise the
-        matching :class:`~repro.parallel.errors.ExecutionError` when it
-        is spent (with the pool reset so a retrying caller starts
-        clean), else back off exponentially and return the new count."""
-        attempts += 1
-        self.retries += 1
-        if attempts > self.max_retries:
-            self.shutdown()
-            message = (f"parallel batch {task_id}: {reason}; retry "
-                       f"budget ({self.max_retries}) exhausted")
-            if kind == "timeout":
-                raise TaskTimeoutError(message,
-                                       timeout_s=self.task_timeout_s or 0.0)
-            if kind == "fault":
-                raise FaultInjected(message)
-            raise WorkerCrashError(message, worker_names=worker_names)
-        if self.backoff_base_s:
-            time.sleep(self.backoff_base_s * 2 ** (attempts - 1))
-        return attempts
-
-    def _recover(self, task_id: int, block: BatchBlock, pending,
-                 worker_ids, hw, table) -> None:
-        """Respawn the given workers and re-dispatch their lost shards
-        (only those -- completed shards stay completed)."""
-        for worker_id in worker_ids:
-            self._respawn(worker_id, task_id)
-        for (lo, hi), worker_id in list(pending.items()):
-            if worker_id in worker_ids:
-                self._dispatch(worker_id, task_id, block, lo, hi, hw,
-                               table)
+    def _lose(self, key) -> None:
+        """Terminate what is left of worker ``key``, drop its task queue
+        (undelivered messages and sentinels die with it), and start a
+        fresh incarnation that is re-shipped tables on demand."""
+        process = self._processes[key]
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=5)
+        old_queue = self._task_queues[key]
+        try:
+            old_queue.cancel_join_thread()
+            old_queue.close()
+        except (OSError, ValueError):  # pragma: no cover - already closed
+            pass
+        self._task_queues[key] = self._context.Queue()
+        self._shipped[key] = set()
+        self._generations[key] += 1
+        self._spawn(key)
+        self.respawns += 1
 
     def shutdown(self) -> None:
         if not self._processes:
@@ -788,15 +847,13 @@ class ProcessBackend(ExecutionBackend):
             self._finalizer = None
         _shutdown_workers(self._processes, self._task_queues)
         if self._result_queue is not None:
-            import queue as queue_module
-
             # Drain stale acks (from terminated or timed-out attempts)
             # so the feeder thread has nothing left to flush, then drop
             # the queue without joining it.
             try:
                 while True:
                     self._result_queue.get_nowait()
-            except (queue_module.Empty, OSError, ValueError):
+            except (queue.Empty, OSError, ValueError):
                 pass
             self._result_queue.cancel_join_thread()
             self._result_queue.close()
@@ -805,7 +862,6 @@ class ProcessBackend(ExecutionBackend):
         self._result_queue = None
         self._shipped = []
         self._generations = []
-        self._tables = {}
 
 
 def _shutdown_workers(processes, task_queues) -> None:
@@ -877,36 +933,21 @@ class ResilientBackend(ExecutionBackend):
         self.degraded_to: Optional[str] = None
         self._failures_at_rung = 0
         # Counters of retired rungs, folded into stats() alongside the
-        # live inner backend's.  The distributed-only keys read 0 for
-        # every other backend (getattr default), so the stats schema is
-        # uniform across executors.
-        self._absorbed = {"retries": 0, "respawns": 0, "timeouts": 0,
-                          "inline_batches": 0, "sharded_batches": 0,
-                          "stolen_shards": 0, "reships": 0, "nodes": 0}
-
-    #: stats()/absorbed key -> backend attribute, where they differ
-    #: ("nodes" reports the *peak connected fleet*, not the request).
-    _STAT_ATTRS = {"nodes": "fleet_nodes"}
+        # live inner backend's.
+        self._absorbed = dict.fromkeys(_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     @property
     def alive_workers(self) -> int:
         return self.inner.alive_workers
 
-    def _absorb(self, backend: ExecutionBackend) -> None:
-        for key in self._absorbed:
-            self._absorbed[key] += getattr(
-                backend, self._STAT_ATTRS.get(key, key), 0)
-
     def stats(self) -> Dict[str, object]:
         """Aggregated fault-tolerance counters across every rung used."""
-        data = dict(self._absorbed)
-        for key in list(data):
-            data[key] += getattr(self.inner,
-                                 self._STAT_ATTRS.get(key, key), 0)
+        data = execution_stats(self.inner)
+        for key, value in self._absorbed.items():
+            data[key] += value
         data["pool_failures"] = self.pool_failures
         data["degraded_to"] = self.degraded_to
-        data["executor"] = self.inner.name
         return data
 
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
@@ -925,16 +966,22 @@ class ResilientBackend(ExecutionBackend):
                     # Budget left at this rung: the failed backend shut
                     # its pool down, so the re-run respawns it fresh.
                     continue
-                previous = self.inner.name
-                self._absorb(self.inner)
-                self.inner.shutdown()
+                previous = self.inner
+                retired = execution_stats(previous)
+                for key in self._absorbed:
+                    self._absorbed[key] += retired[key]
+                previous.shutdown()
+                # The next rung keeps the retry budget, deadline, backoff
+                # and fault plan the failed one was configured with.
+                knobs = (previous._knobs()
+                         if isinstance(previous, SupervisedBackend) else {})
                 self.inner = make_backend(
                     next_name, self.workers, self.min_batch_per_worker,
-                    fault_plan=getattr(self.inner, "fault_plan", None))
+                    **knobs)
                 self.degraded_to = next_name
                 self._failures_at_rung = 0
                 if self.on_degrade is not None:
-                    self.on_degrade(error, previous, next_name)
+                    self.on_degrade(error, previous.name, next_name)
 
     def shutdown(self) -> None:
         self.inner.shutdown()
@@ -944,55 +991,66 @@ class ResilientBackend(ExecutionBackend):
                 f"degraded_to={self.degraded_to!r})")
 
 
-_BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-    "chaos": ProcessBackend,
-}
+#: ``provenance["execution"]`` counter -> backend attribute; a backend
+#: without the attribute reports 0, so the schema is uniform across
+#: executors ("nodes" is the *peak connected fleet*, not the request).
+_COUNTERS = {"retries": "retries", "respawns": "respawns",
+             "timeouts": "timeouts", "inline_batches": "inline_batches",
+             "sharded_batches": "sharded_batches",
+             "stolen_shards": "stolen_shards", "reships": "reships",
+             "nodes": "fleet_nodes"}
+
+
+def execution_stats(backend: ExecutionBackend) -> Dict[str, object]:
+    """The ``provenance["execution"]`` counters of ``backend`` (a
+    :class:`ResilientBackend` folds in every rung it used)."""
+    if isinstance(backend, ResilientBackend):
+        return backend.stats()
+    data: Dict[str, object] = {key: getattr(backend, attr, 0)
+                               for key, attr in _COUNTERS.items()}
+    data.update(pool_failures=0, degraded_to=None, executor=backend.name)
+    return data
 
 
 def make_backend(executor: str, workers: Optional[int] = None,
                  min_batch_per_worker: int = 0,
                  task_timeout_s: Optional[float] = None,
                  max_retries: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None) -> ExecutionBackend:
+                 fault_plan: Optional[FaultPlan] = None,
+                 backoff_base_s: float = 0.05) -> ExecutionBackend:
     """Build a backend by name ("serial" | "thread" | "process" |
-    "chaos").
+    "distributed").
 
     ``min_batch_per_worker`` enables adaptive dispatch on the parallel
     backends (0, the default, always shards -- see
     :class:`ExecutionBackend`); the serial backend ignores it, as it
-    does the fault-tolerance knobs.  ``chaos`` is the process backend
-    with a :class:`~repro.parallel.faults.FaultPlan` always attached:
-    ``fault_plan``, else ``$REPRO_FAULTS``, else a default seeded plan.
-    For ``distributed``, ``workers`` is the node-fleet size (``None``:
+    does the recovery knobs (the thread backend takes only
+    ``fault_plan``).  A fault run is ``"process"`` (or
+    ``"distributed"``) with ``fault_plan`` or ``$REPRO_FAULTS``.  For
+    ``distributed``, ``workers`` is the node-fleet size (``None``:
     ``$REPRO_NODES`` or the built-in default) and the listen address
     comes from ``$REPRO_BIND`` (unset: a self-spawned localhost fleet).
     """
+    knobs = {"max_retries": max_retries, "backoff_base_s": backoff_base_s,
+             "task_timeout_s": task_timeout_s, "fault_plan": fault_plan}
     if executor == "distributed":
         # Imported lazily: distributed.py imports this module.
         from repro.parallel.distributed import DistributedBackend
 
         return DistributedBackend(
             nodes=workers, min_batch_per_worker=min_batch_per_worker,
-            task_timeout_s=task_timeout_s, max_retries=max_retries,
-            fault_plan=fault_plan)
-    try:
-        cls = _BACKENDS[executor]
-    except KeyError:
+            **knobs)
+    if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; available: "
-            f"{', '.join(EXECUTORS)}") from None
+            f"{', '.join(EXECUTORS)}")
     workers = default_workers() if workers is None else workers
-    if cls is SerialBackend:
-        return cls(workers=workers)
-    if cls is ThreadBackend:
-        return cls(workers=workers,
-                   min_batch_per_worker=min_batch_per_worker,
-                   fault_plan=fault_plan)
-    if executor == "chaos" and fault_plan is None:
-        fault_plan = FaultPlan.from_env() or FaultPlan.seeded(0)
-    return cls(workers=workers, min_batch_per_worker=min_batch_per_worker,
-               task_timeout_s=task_timeout_s, max_retries=max_retries,
-               fault_plan=fault_plan)
+    if executor == "process":
+        return ProcessBackend(workers=workers,
+                              min_batch_per_worker=min_batch_per_worker,
+                              **knobs)
+    if executor == "thread":
+        return ThreadBackend(workers=workers,
+                             min_batch_per_worker=min_batch_per_worker,
+                             fault_plan=fault_plan)
+    return SerialBackend(workers=workers)

@@ -65,6 +65,7 @@ from typing import Dict, List, Optional
 from repro.parallel.backend import (
     ExecutionBackend,
     ResilientBackend,
+    execution_stats,
     make_backend,
 )
 from repro.parallel.faults import FaultPlan
@@ -130,17 +131,14 @@ class PoolLease(SearchObserver):
             self._cost_model = None
 
     def on_finish(self, result) -> None:
-        stats = self.coordinator.execution_stats()
-        if stats is not None:
-            result.provenance["execution"] = dict(stats)
+        self.coordinator.on_finish(result)
 
 
 class ParallelCoordinator(SearchObserver):
     """Observer that owns worker lifecycle for one or many sessions.
 
     Args:
-        executor: "serial" | "thread" | "process" | "chaos" |
-            "distributed".
+        executor: "serial" | "thread" | "process" | "distributed".
         workers: Worker count (``None``: ``$REPRO_WORKERS`` or the core
             count).
         nodes: Node-fleet size for the "distributed" executor
@@ -156,8 +154,8 @@ class ParallelCoordinator(SearchObserver):
             from a :class:`~repro.search.spec.SearchSpec` pass the
             spec-resolved break-even so small batches skip the IPC).
         task_timeout_s: Per-batch deadline forwarded to the process
-            backend (``None``: ``$REPRO_TASK_TIMEOUT`` or disabled; 0
-            explicitly disables).
+            and distributed backends (``None``: ``$REPRO_TASK_TIMEOUT``
+            or disabled; 0 explicitly disables).
         max_retries: Per-batch recovery budget (``None``:
             ``$REPRO_MAX_RETRIES`` or the default).
         fault_plan: Deterministic fault-injection script (``None``:
@@ -285,21 +283,7 @@ class ParallelCoordinator(SearchObserver):
         backend = self.backend
         if backend is None:
             return self.last_stats
-        if isinstance(backend, ResilientBackend):
-            return backend.stats()
-        return {
-            "executor": backend.name,
-            "retries": getattr(backend, "retries", 0),
-            "respawns": getattr(backend, "respawns", 0),
-            "timeouts": getattr(backend, "timeouts", 0),
-            "inline_batches": backend.inline_batches,
-            "sharded_batches": backend.sharded_batches,
-            "stolen_shards": getattr(backend, "stolen_shards", 0),
-            "reships": getattr(backend, "reships", 0),
-            "nodes": getattr(backend, "fleet_nodes", 0),
-            "pool_failures": 0,
-            "degraded_to": None,
-        }
+        return execution_stats(backend)
 
     def on_teardown(self) -> None:
         """Snapshot counters, uninstall from the cost model, and stop

@@ -47,23 +47,16 @@ Fleet modes
   single backend: on coordinator shutdown they loop back to connecting,
   so one warmed fleet serves a whole CI suite of sessions.
 
-Work stealing
--------------
-Batches are cut into ``SHARDS_PER_NODE x fleet`` shards kept in a
-shared deque; every node is primed with one shard and *pulls* the next
-when it acks -- fast nodes simply come back more often, so a
-heterogeneous fleet load-balances itself without any rate model.  A
-dispatch that lands on a node other than the shard's static round-robin
-owner counts as ``stolen_shards``.
-
-Fault handling reuses the process backend's taxonomy wholesale: a dead
-node (socket EOF) has its in-flight shards returned to the deque and
-re-dispatched bit-identically, bounded by the per-batch ``max_retries``
-budget; exhaustion raises
-:class:`~repro.parallel.errors.WorkerCrashError`, which is the
-degradation ladder's cue to downshift ``distributed -> process``.
+Scheduling and supervision
+--------------------------
+:class:`DistributedBackend` is the socket data plane of
+:class:`~repro.parallel.backend.SupervisedBackend`, the scheduler core
+it shares with the process pool: ``SHARDS_PER_NODE`` shards per node
+wait in a deque that nodes pull from, so a heterogeneous fleet
+load-balances itself.  A dead node (socket EOF) is expelled and its
+shards fall through to idle nodes while its replacement reconnects.
 :class:`~repro.parallel.faults.FaultPlan` slices travel in the
-``welcome`` frame, so seeded chaos runs kill real node processes.
+``welcome`` frame, so seeded fault runs kill real node processes.
 """
 
 from __future__ import annotations
@@ -76,7 +69,6 @@ import struct
 import threading
 import time
 import weakref
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,16 +80,11 @@ from repro.costmodel.batched import (
 )
 from repro.costmodel.report import BatchCostReport
 from repro.parallel.backend import (
-    ExecutionBackend,
-    default_max_retries,
-    default_task_timeout,
-    shard_bounds,
+    SupervisedBackend,
+    env_number,
+    _fault_script,
 )
-from repro.parallel.errors import (
-    FaultInjected,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.parallel.errors import WorkerCrashError
 from repro.parallel.faults import FaultPlan
 from repro.parallel.shm import INPUT_FIELDS, REPORT_FIELDS
 
@@ -132,13 +119,8 @@ _MAX_FRAME = 1 << 30
 def default_nodes() -> int:
     """Fleet size when none is requested: ``$REPRO_NODES`` if set, else
     :data:`DEFAULT_NODES` (capped at the core count)."""
-    env = os.environ.get("REPRO_NODES")
-    if env is not None:
-        nodes = int(env)
-        if nodes < 1:
-            raise ValueError(f"REPRO_NODES must be >= 1, got {env!r}")
-        return nodes
-    return max(1, min(DEFAULT_NODES, os.cpu_count() or 1))
+    return env_number("REPRO_NODES", int, 1,
+                       max(1, min(DEFAULT_NODES, os.cpu_count() or 1)))
 
 
 def default_bind() -> Optional[str]:
@@ -231,12 +213,7 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
     if kind != "welcome":
         return "eof"
     _slot, faults = rest
-    kill_at = list(faults["kill"]) if faults else []
-    raise_at = list(faults["raise"]) if faults else []
-    delay_at: Dict[int, float] = {}
-    if faults:
-        for batch_idx, seconds in faults["delay"]:
-            delay_at[batch_idx] = delay_at.get(batch_idx, 0.0) + seconds
+    run = _fault_script(faults)
     tables: Dict[int, Tuple[object, LayerTable]] = {}
     while True:
         try:
@@ -251,34 +228,17 @@ def _serve_coordinator(sock: socket.socket, name: Optional[str],
             tables[table_id] = (hw, LayerTable.build(layers))
             continue
         _, task_id, lo, hi, table_id, inputs = message
-        if task_id in kill_at:
-            os._exit(1)
-        delay = delay_at.pop(task_id, 0.0)
-        if delay:
-            time.sleep(delay)
-        try:
-            if task_id in raise_at:
-                raise_at.remove(task_id)
-                raise FaultInjected(
-                    f"injected fault on node {name or _slot} at batch "
-                    f"{task_id}")
+
+        def compute() -> dict:
             hw, table = tables[table_id]
             report = evaluate_batch_kernel(
-                hw, table,
-                inputs["layer_idx"], inputs["style_idx"],
-                inputs["pes"], inputs["l1_bytes"])
-            reply = ("ok", task_id, lo, hi,
-                     {field: getattr(report, field)
-                      for field, _ in REPORT_FIELDS})
-        except FaultInjected as error:
-            reply = ("fault", task_id, lo, hi, repr(error))
-        except BaseException as error:  # noqa: BLE001 - forwarded verbatim
-            import traceback
+                hw, table, *(inputs[field] for field, _ in INPUT_FIELDS))
+            return {field: getattr(report, field)
+                    for field, _ in REPORT_FIELDS}
 
-            reply = ("error", task_id, lo, hi,
-                     f"{error!r}\n{traceback.format_exc()}")
+        status, payload = run(task_id, f"node {name or _slot}", compute)
         try:
-            send_frame(sock, reply)
+            send_frame(sock, (status, task_id, lo, hi, payload))
         except (ConnectionError, OSError):
             return "eof"
 
@@ -325,7 +285,7 @@ def run_worker_agent(connect: str, name: Optional[str] = None) -> int:
 
     Runs :func:`worker_agent_main` in a child process and respawns it
     when it dies abnormally -- which is exactly what an injected
-    ``kill_worker`` fault does (``os._exit(1)``) -- so a chaos run
+    ``kill_worker`` fault does (``os._exit(1)``) -- so a fault run
     against an external fleet self-heals just like the self-spawned
     mode.  Stops cleanly on KeyboardInterrupt.
     """
@@ -361,18 +321,16 @@ def run_worker_agent(connect: str, name: Optional[str] = None) -> int:
 class _Node:
     """One connected agent: socket, identity, and shipping state."""
 
-    __slots__ = ("slot", "sock", "name", "alive", "shipped", "lock")
+    __slots__ = ("slot", "sock", "name", "shipped")
 
     def __init__(self, slot: int, sock: socket.socket,
                  name: Optional[str]) -> None:
         self.slot = slot
         self.sock = sock
         self.name = name or f"node-{slot}"
-        self.alive = True
         #: Table ids shipped over *this* connection; a reconnect starts
         #: a fresh node object, so re-ships happen on demand.
         self.shipped: set = set()
-        self.lock = threading.Lock()
 
 
 def _shutdown_fleet(listener_box: List, registry: Dict[int, _Node],
@@ -394,8 +352,6 @@ def _shutdown_fleet(listener_box: List, registry: Dict[int, _Node],
         if listener_box:
             listener_box[0] = None
         nodes = list(registry.values())
-        for node in nodes:
-            node.alive = False
         registry.clear()
     if listener is not None:
         try:
@@ -428,7 +384,7 @@ def _shutdown_fleet(listener_box: List, registry: Dict[int, _Node],
     agents.clear()
 
 
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(SupervisedBackend):
     """Shard batches across a fleet of socket-connected node agents.
 
     Args:
@@ -444,11 +400,12 @@ class DistributedBackend(ExecutionBackend):
             distributed transport has the highest per-batch cost of the
             ladder, so its spec-resolved default is the largest.
         max_retries / backoff_base_s / task_timeout_s / fault_plan:
-            Exactly the process backend's knobs.
-        connect_timeout_s: How long startup waits for the fleet.
+            The recovery knobs of
+            :class:`~repro.parallel.backend.SupervisedBackend`.
+        connect_timeout_s: How long startup -- or a batch whose whole
+            fleet died -- waits for nodes to connect.
 
     Attributes:
-        stolen_shards: Shards executed off their static owner.
         reships: Tables re-shipped to a node that
             already had them on a previous connection (respawn or
             reconnect).
@@ -456,8 +413,6 @@ class DistributedBackend(ExecutionBackend):
     """
 
     name = "distributed"
-
-    POLL_S = 0.25
 
     #: Shards per node in each batch's deque: more shards mean
     #: finer-grained stealing at slightly more framing overhead.
@@ -472,36 +427,15 @@ class DistributedBackend(ExecutionBackend):
                  fault_plan: Optional[FaultPlan] = None,
                  connect_timeout_s: float = 30.0) -> None:
         nodes = default_nodes() if nodes is None else nodes
-        super().__init__(nodes, min_batch_per_worker)
+        super().__init__(nodes, min_batch_per_worker, max_retries,
+                         backoff_base_s, task_timeout_s, fault_plan)
         self.nodes = nodes
         if bind is None:
             bind = default_bind()
         self.bind = bind
         self.connect_timeout_s = connect_timeout_s
-        self.max_retries = (default_max_retries() if max_retries is None
-                            else max_retries)
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        self.backoff_base_s = backoff_base_s
-        if task_timeout_s is None:
-            task_timeout_s = default_task_timeout()
-        if task_timeout_s < 0:
-            raise ValueError("task_timeout_s must be >= 0 (0 disables)")
-        self.task_timeout_s = float(task_timeout_s) or None
-        if fault_plan is None:
-            fault_plan = FaultPlan.from_env()
-        self.fault_plan = fault_plan
-        self._kills: Dict[int, List[int]] = {}
-        self._delays: Dict[int, List[Tuple[int, float]]] = {}
-        self.retries = 0
-        self.respawns = 0
-        self.timeouts = 0
-        self.stolen_shards = 0
         self.reships = 0
         self.fleet_nodes = 0
-        self._lock = threading.Lock()
         self._listener_box: List = [None]
         self._registry: Dict[int, _Node] = {}
         self._agents: Dict[int, object] = {}
@@ -510,8 +444,6 @@ class DistributedBackend(ExecutionBackend):
         #: distinguishes a *re*-ship from a first ship.
         self._ever_shipped: Dict[int, set] = {}
         self._events: "queue.Queue" = queue.Queue()
-        self._tables: Dict[int, LayerTable] = {}
-        self._next_task = 0
         self._accept_thread: Optional[threading.Thread] = None
         self._finalizer: Optional[weakref.finalize] = None
 
@@ -527,20 +459,6 @@ class DistributedBackend(ExecutionBackend):
     def connected_nodes(self) -> int:
         """Nodes currently in the registry."""
         return len(self._registry)
-
-    def _fault_wire(self, slot: int) -> Optional[dict]:
-        if self.fault_plan is None:
-            return None
-        with self._lock:
-            if slot not in self._kills:
-                self._kills[slot] = self.fault_plan.kills_for(slot)
-                self._delays[slot] = self.fault_plan.delays_for(slot)
-            return {
-                "kill": list(self._kills[slot]),
-                "raise": self.fault_plan.raises_for(slot),
-                "delay": [[batch, seconds] for batch, seconds
-                          in self._delays[slot]],
-            }
 
     # ------------------------------------------------------------------
     def _accept_loop(self, listener: socket.socket) -> None:
@@ -597,7 +515,7 @@ class DistributedBackend(ExecutionBackend):
                 target=self._reader_loop, args=(node,),
                 name=f"repro-node-reader-{slot}", daemon=True)
             reader.start()
-            self._events.put(("join", node))
+            self._events.put(("join", slot))
 
     def _reader_loop(self, node: _Node) -> None:
         while True:
@@ -606,7 +524,7 @@ class DistributedBackend(ExecutionBackend):
             except (ConnectionError, OSError):
                 self._events.put(("gone", node))
                 return
-            self._events.put(("msg", node, message))
+            self._events.put(("ack", node.slot, *message))
 
     # ------------------------------------------------------------------
     def _spawn_agent(self, slot: int) -> None:
@@ -655,281 +573,112 @@ class DistributedBackend(ExecutionBackend):
         # Startup barrier: self-spawned fleets wait for every agent
         # (deterministic tests); external fleets for the first joiner
         # (the rest can trickle in mid-batch -- stealing absorbs them).
-        want = self.nodes if self.bind is None else 1
+        self._await_nodes(self.nodes if self.bind is None else 1)
+
+    def _await_nodes(self, want: int) -> None:
+        """Block until ``want`` nodes are connected; after
+        ``connect_timeout_s`` shut down and raise."""
         deadline = time.monotonic() + self.connect_timeout_s
         while len(self._registry) < want:
             if time.monotonic() >= deadline:
                 have = len(self._registry)
                 self.shutdown()
                 raise WorkerCrashError(
-                    f"distributed fleet never came up: {have}/{want} "
-                    f"node(s) connected within {self.connect_timeout_s}s")
+                    f"distributed fleet: {have}/{want} node(s) "
+                    f"connected within {self.connect_timeout_s}s")
             time.sleep(0.01)
 
     # ------------------------------------------------------------------
-    def _ship_table(self, node: _Node, hw, table: LayerTable) -> int:
-        table_id = table_token(table)
-        self._tables[table_id] = table
-        if table_id not in node.shipped:
-            ever = self._ever_shipped.setdefault(node.slot, set())
-            if table_id in ever:
-                self.reships += 1
-            else:
-                ever.add(table_id)
-            send_frame(node.sock, ("load", table_id, hw, table.layers))
-            node.shipped.add(table_id)
-        return table_id
-
-    def _dispatch(self, node: _Node, task_id: int, shard: int,
-                  lo: int, hi: int, hw, table, inputs,
-                  static_owner: List[int],
-                  pending: Dict[Tuple[int, int], int]) -> bool:
-        """Send one shard to one node; False if the node is dead (the
-        caller re-queues the shard and the reader's ``gone`` event
-        drives recovery)."""
-        if not node.alive:
-            return False
-        try:
-            with node.lock:
-                table_id = self._ship_table(node, hw, table)
-                send_frame(node.sock, (
-                    "eval", task_id, lo, hi, table_id,
-                    {name: array[lo:hi] for name, array in inputs.items()}))
-        except (ConnectionError, OSError):
-            return False
-        pending[(lo, hi)] = node.slot
-        if static_owner[shard] != node.slot:
-            self.stolen_shards += 1
-        return True
-
     def evaluate(self, hw, table, layer_idx, style_idx, pes,
                  l1_bytes) -> BatchCostReport:
-        if self._below_break_even(layer_idx.size):
+        batch = layer_idx.size
+        if self._below_break_even(batch):
             self.inline_batches += 1
             return evaluate_batch_kernel(hw, table, layer_idx, style_idx,
                                          pes, l1_bytes)
         self.sharded_batches += 1
         self._ensure_started()
-        task_id = self._next_task
-        self._next_task += 1
         inputs = {"layer_idx": layer_idx, "style_idx": style_idx,
                   "pes": pes, "l1_bytes": l1_bytes}
         for name, dtype in INPUT_FIELDS:
             inputs[name] = np.ascontiguousarray(inputs[name], dtype=dtype)
-        outputs = {name: np.empty(layer_idx.size, dtype=dtype)
+        outputs = {name: np.empty(batch, dtype=dtype)
                    for name, dtype in REPORT_FIELDS}
-        self._run_task(task_id, hw, table, inputs, outputs,
-                       int(layer_idx.size))
+        self._run_task(batch, self.SHARDS_PER_NODE,
+                       (hw, table, inputs, outputs))
         return BatchCostReport(**outputs)
 
-    # ------------------------------------------------------------------
-    def _live_nodes(self) -> List[_Node]:
-        with self._lock:
-            return [self._registry[slot]
-                    for slot in sorted(self._registry)]
-
-    def _await_fleet(self, task_id: int) -> List[_Node]:
-        """The current fleet, waiting out a fully-dead registry (a
-        respawn or external reconnect lands via the accept thread)."""
-        live = self._live_nodes()
-        if live:
-            return live
-        deadline = time.monotonic() + self.connect_timeout_s
-        while not live:
-            if time.monotonic() >= deadline:
-                self.shutdown()
-                raise WorkerCrashError(
-                    f"distributed batch {task_id}: no nodes connected "
-                    f"within {self.connect_timeout_s}s")
-            time.sleep(0.01)
-            live = self._live_nodes()
-        return live
-
-    def _run_task(self, task_id: int, hw, table, inputs, outputs,
-                  batch: int) -> None:
-        """Dispatch one batch's shards over the fleet and supervise
-        them to completion -- the socket twin of
-        ``ProcessBackend._run_task``, with the static per-worker
-        assignment replaced by a shared shard deque that idle nodes
-        pull from."""
-        live = self._await_fleet(task_id)
-        keys = [node.slot for node in live]
-        # The static assignment steals are counted against: shard i
-        # belongs to the i-th live node, round-robin.
-        bounds = shard_bounds(batch, len(live) * self.SHARDS_PER_NODE)
-        static_owner = [keys[i % len(keys)] for i in range(len(bounds))]
-        todo = deque(range(len(bounds)))
-        pending: Dict[Tuple[int, int], int] = {}
-        shard_of: Dict[Tuple[int, int], int] = {
-            bounds[i]: i for i in range(len(bounds))}
-        attempts = 0
-        failures: List[Tuple[int, str]] = []
-
-        def feed(node: _Node) -> None:
-            """Give ``node`` the next shard from the deque (its pull)."""
-            if not todo:
-                return
-            shard = todo.popleft()
-            lo, hi = bounds[shard]
-            if not self._dispatch(node, task_id, shard, lo, hi, hw, table,
-                                  inputs, static_owner, pending):
-                todo.appendleft(shard)
-
-        def refill() -> None:
-            """Hand deque work to idle live nodes after a fleet change
-            (a join, or shards reclaimed from a dead node)."""
-            busy = set(pending.values())
-            for node in self._live_nodes():
-                if node.slot not in busy:
-                    feed(node)
-
-        for node in live:
-            feed(node)
-
-        def lose_node(node: _Node) -> None:
-            """Idempotent node-loss handling: expel, reclaim its
-            in-flight shards, prune consumed faults, respawn when
-            self-spawned."""
-            if not node.alive:
-                return
-            node.alive = False
+    # Data-plane hooks ------------------------------------------------
+    def _live_workers(self) -> List[int]:
+        """Registered slots, waiting out a fully dead registry (a
+        respawned or reconnecting agent lands via the accept thread)."""
+        while True:
             with self._lock:
-                if self._registry.get(node.slot) is node:
-                    del self._registry[node.slot]
-                kills = self._kills.get(node.slot)
-                if kills and task_id in kills:
-                    kills.remove(task_id)
-                delays = self._delays.get(node.slot)
-                if delays:
-                    for entry in delays:
-                        if entry[0] == task_id:
-                            delays.remove(entry)
-                            break
-            try:
-                node.sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            for (lo, hi), slot in list(pending.items()):
-                if slot == node.slot:
-                    del pending[(lo, hi)]
-                    todo.appendleft(shard_of[(lo, hi)])
-            if self._agents and node.slot in self._agents:
-                process = self._agents[node.slot]
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=5)
-                self._generations[node.slot] = (
-                    self._generations.get(node.slot, 0) + 1)
-                self._spawn_agent(node.slot)
-                self.respawns += 1
+                live = sorted(self._registry)
+            if live:
+                return live
+            self._await_nodes(1)
 
-        timeout = self.task_timeout_s
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while pending or todo:
-            if todo and not pending:
-                # Nothing in flight to ack: drive dispatch ourselves
-                # (all feeds failed against dying nodes, or the fleet
-                # emptied and is coming back).
-                if not self._live_nodes():
-                    self._await_fleet(task_id)
-                refill()
-            wait = self.POLL_S
-            if deadline is not None:
-                wait = min(wait, max(0.0, deadline - time.monotonic()))
-            event = None
-            try:
-                event = self._events.get(timeout=wait)
-            except queue.Empty:
-                pass
-            if event is not None:
-                kind = event[0]
-                if kind == "join":
-                    refill()
-                    continue
-                node = event[1]
-                if kind == "gone":
-                    if not node.alive:
-                        continue  # already expelled (send failure)
-                    name = node.name
-                    had_work = node.slot in set(pending.values())
-                    lose_node(node)
-                    if had_work:
-                        # Only a node carrying in-flight shards costs
-                        # the batch a recovery; an idle death is just a
-                        # (respawned) fleet change.
-                        attempts = self._account_recovery(
-                            task_id, attempts, "crash",
-                            f"node died mid-batch: {name}",
-                            worker_names=[name])
-                    refill()
-                    if deadline is not None:
-                        deadline = time.monotonic() + timeout
-                    continue
-                _, _, message = event
-                status, done_id, lo, hi, payload = message
-                if done_id != task_id or (lo, hi) not in pending:
-                    continue  # stale ack from a recovered attempt
-                if status == "ok":
-                    del pending[(lo, hi)]
-                    for field, _ in REPORT_FIELDS:
-                        outputs[field][lo:hi] = payload[field]
-                    feed(node)
-                elif status == "fault":
-                    attempts = self._account_recovery(
-                        task_id, attempts, "fault",
-                        f"injected fault on node {node.name}")
-                    shard = shard_of[(lo, hi)]
-                    del pending[(lo, hi)]
-                    if not self._dispatch(node, task_id, shard, lo, hi,
-                                          hw, table, inputs,
-                                          static_owner, pending):
-                        todo.appendleft(shard)
-                else:
-                    # Deterministic kernel bug: never retried (see the
-                    # process backend); drain the rest, then surface.
-                    failures.append((node.slot, payload))
-                    del pending[(lo, hi)]
-                    feed(node)
-                continue
-            # Quiet poll window: check the deadline; socket EOF (not a
-            # liveness poll) is what reports dead nodes here.
-            if deadline is not None and time.monotonic() >= deadline:
-                hung = {slot for slot in pending.values()}
-                self.timeouts += 1
-                attempts = self._account_recovery(
-                    task_id, attempts, "timeout",
-                    f"distributed batch {task_id} missed its {timeout}s "
-                    f"deadline ({len(pending)} shard(s) outstanding)")
-                for node in self._live_nodes():
-                    if node.slot in hung:
-                        lose_node(node)
-                refill()
-                deadline = time.monotonic() + timeout
-        if failures:
-            slot, detail = failures[0]
-            raise RuntimeError(
-                f"distributed node {slot} failed:\n{detail}")
+    def _send(self, key, task_id, lo, hi, job) -> bool:
+        hw, table, inputs, _ = job
+        node = self._registry.get(key)
+        if node is None:
+            return False
+        table_id = table_token(table)
+        try:
+            if table_id not in node.shipped:
+                ever = self._ever_shipped.setdefault(key, set())
+                if table_id in ever:
+                    self.reships += 1
+                ever.add(table_id)
+                send_frame(node.sock, ("load", table_id, hw, table.layers))
+                node.shipped.add(table_id)
+            send_frame(node.sock, (
+                "eval", task_id, lo, hi, table_id,
+                {name: array[lo:hi] for name, array in inputs.items()}))
+        except (ConnectionError, OSError):
+            return False
+        return True
 
-    def _account_recovery(self, task_id: int, attempts: int, kind: str,
-                          reason: str, worker_names=()) -> int:
-        """Charge one recovery against the batch budget (the process
-        backend's accounting, verbatim semantics)."""
-        attempts += 1
-        self.retries += 1
-        if attempts > self.max_retries:
-            self.shutdown()
-            message = (f"distributed batch {task_id}: {reason}; retry "
-                       f"budget ({self.max_retries}) exhausted")
-            if kind == "timeout":
-                raise TaskTimeoutError(message,
-                                       timeout_s=self.task_timeout_s or 0.0)
-            if kind == "fault":
-                raise FaultInjected(message)
-            raise WorkerCrashError(message, worker_names=worker_names)
-        if self.backoff_base_s:
-            time.sleep(self.backoff_base_s * 2 ** (attempts - 1))
-        return attempts
+    def _next_events(self, wait, busy) -> List[tuple]:
+        # Socket EOF, reported by the node's reader thread, is what
+        # reveals a dead node -- no liveness polling.
+        try:
+            event = self._events.get(timeout=wait)
+        except queue.Empty:
+            return []
+        if event[0] != "gone":
+            return [event]
+        # A node already expelled (missed deadline) is old news.
+        node = event[1]
+        if self._registry.get(node.slot) is not node:
+            return []
+        return [("gone", node.slot, node.name)]
+
+    def _lose(self, key) -> None:
+        """Expel node ``key`` and, when self-spawned, respawn its agent
+        (the replacement reconnects asynchronously)."""
+        with self._lock:
+            node = self._registry.pop(key, None)
+        if node is None:
+            return
+        try:
+            node.sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        process = self._agents.get(key)
+        if process is not None:
+            if process.is_alive():
+                process.terminate()
+            process.join(timeout=5)
+            self._generations[key] = self._generations.get(key, 0) + 1
+            self._spawn_agent(key)
+            self.respawns += 1
+
+    def _store(self, job, lo, hi, payload) -> None:
+        outputs = job[3]
+        for field, _ in REPORT_FIELDS:
+            outputs[field][lo:hi] = payload[field]
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -952,7 +701,6 @@ class DistributedBackend(ExecutionBackend):
                 break
         self._generations = {}
         self._ever_shipped = {}
-        self._tables = {}
         self._accept_thread = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,12 +4,13 @@ A :class:`FaultPlan` is a seeded, JSON-serializable script of
 infrastructure failures -- worker kills, injected kernel exceptions,
 artificial delays -- keyed by ``(batch_idx, worker_id)``, where
 ``batch_idx`` is the backend's 0-based counter of *sharded* batches
-(``ProcessBackend._next_task``; inline small-batch evaluations do not
-advance it).  Because the script, not luck, decides when a worker dies,
-every recovery path in :class:`~repro.parallel.backend.ProcessBackend`
-and :class:`~repro.parallel.distributed.DistributedBackend` (whose
-nodes receive their slice in the ``welcome`` frame) is exercised by
-ordinary pytest cases, and a chaos run is exactly reproducible from its
+(``SupervisedBackend._next_task``; inline small-batch evaluations do
+not advance it).  Because the script, not luck, decides when a worker
+dies, every recovery path of the supervised scheduler core -- driving
+:class:`~repro.parallel.backend.ProcessBackend` and
+:class:`~repro.parallel.distributed.DistributedBackend` (whose nodes
+receive their slice in the ``welcome`` frame) alike -- is exercised by
+ordinary pytest cases, and a fault run is exactly reproducible from its
 plan.  Faults only kill, fail, or delay work; they never change the
 values a recovered batch computes.
 
@@ -25,7 +26,8 @@ Fault kinds:
   kernel, exactly once per entry (the worker remembers what it fired),
   so the coordinator's re-dispatch succeeds.  On the thread backend the
   entry fires per ``(batch_idx, shard_idx)`` at dispatch time -- the
-  hook that lets chaos reach the degradation ladder's middle rung.
+  hook that lets a fault run reach the degradation ladder's middle
+  rung.
 * ``delay_s`` -- ``[batch_idx, worker_id, seconds]``: the worker sleeps
   before evaluating, the lever for deadline/timeout tests.  Pruned like
   kills when a hung worker is terminated.
@@ -33,8 +35,8 @@ Fault kinds:
 Plans reach workers through ``$REPRO_FAULTS`` (see :func:`from_env`:
 an inline JSON document, a ``seed:N`` generator shorthand, or a file
 path) or explicitly via ``ProcessBackend(fault_plan=...)`` /
-``ParallelCoordinator(fault_plan=...)``; the ``chaos`` executor is the
-process backend with a plan always attached.
+``DistributedBackend(fault_plan=...)`` /
+``ParallelCoordinator(fault_plan=...)``.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ class FaultPlan:
         """A reproducible random plan: ``kills`` worker deaths,
         ``raises`` injected exceptions, and ``delays`` sleeps scattered
         over the first ``horizon`` sharded batches of ``workers``
-        workers.  Same arguments, same plan -- the CI chaos leg runs one
-        of these (``$REPRO_FAULTS=seed:N``)."""
+        workers.  Same arguments, same plan -- the CI fault-injection
+        legs run one of these (``$REPRO_FAULTS=seed:N``)."""
         rng = random.Random(seed)
 
         def scatter(count):

@@ -10,6 +10,7 @@ equal specs produce bit-identical results.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
@@ -202,10 +203,12 @@ class SearchSpec:
         if self.envs is not None and self.envs < 1:
             raise ValueError(
                 "envs must be >= 1 (or None to defer to $REPRO_ENVS)")
-        if self.task_timeout_s is not None and self.task_timeout_s < 0:
+        if self.task_timeout_s is not None and not (
+                math.isfinite(self.task_timeout_s)
+                and self.task_timeout_s >= 0):
             raise ValueError(
-                "task_timeout_s must be >= 0 (0 disables the deadline, "
-                "None defers to $REPRO_TASK_TIMEOUT)")
+                "task_timeout_s must be a finite number >= 0 (0 disables "
+                "the deadline, None defers to $REPRO_TASK_TIMEOUT)")
 
     # ------------------------------------------------------------------
     def resolved_executor(self) -> str:
@@ -251,13 +254,9 @@ class SearchSpec:
         (reproducibly, for a fixed seed)."""
         if self.envs is not None:
             return self.envs
-        value = os.environ.get("REPRO_ENVS")
-        if value is None:
-            return 1
-        envs = int(value)
-        if envs < 1:
-            raise ValueError("REPRO_ENVS must be >= 1")
-        return envs
+        from repro.parallel.backend import env_number
+
+        return env_number("REPRO_ENVS", int, 1, 1)
 
     def resolved_task_timeout_s(self) -> float:
         """The effective per-batch deadline in seconds (spec,
@@ -320,10 +319,15 @@ class SearchSpec:
         batched engine does not stand in for (a ``ValueError``).  The
         removed ``autotune`` key is dropped whatever its value, and a
         legacy ``dispatch_min_batch: "auto"`` loads as ``None``: both
-        only moved shard boundaries, never results.
+        only moved shard boundaries, never results.  The retired
+        ``"chaos"`` executor loads as ``"process"``: it was the process
+        backend with a fault plan attached, and faults never change
+        results.
         """
         data = dict(data)
         data.pop("autotune", None)
+        if data.get("executor") == "chaos":
+            data["executor"] = "process"
         if data.get("dispatch_min_batch") == "auto":
             data["dispatch_min_batch"] = None
         if "kernel" in data:

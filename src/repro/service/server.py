@@ -218,8 +218,8 @@ class SearchServer:
             caching; submissions always run).
         max_concurrent: Scheduler threads = maximum sessions in flight.
         executor: Pool backend shared by every job -- "serial" (each
-            session computes in-process), "thread", "process",
-            "chaos", or "distributed"; ``None`` resolves
+            session computes in-process), "thread", "process", or
+            "distributed"; ``None`` resolves
             ``$REPRO_EXECUTOR``.  Non-serial pools are held
             ``keep_alive`` across jobs and leased per session, so
             workers warm up once and serve all traffic (a distributed

@@ -3,12 +3,13 @@
 The fault-tolerance contract has three layers, and this file locks down
 all of them:
 
-* **Backend supervision** (:class:`repro.parallel.ProcessBackend`):
-  workers killed, hung, or raising injected faults mid-batch are
-  respawned and their lost shards re-dispatched, with results
-  bit-identical to a crash-free run; the retry budget bounds recovery
-  and exhaustion raises the structured error taxonomy with the pool
-  cleanly shut down.
+* **Backend supervision** (:class:`repro.parallel.SupervisedBackend`,
+  run on both of its data planes -- :class:`repro.parallel.ProcessBackend`
+  and :class:`repro.parallel.DistributedBackend`): workers killed, hung,
+  or raising injected faults mid-batch are replaced and their lost
+  shards re-dispatched, with results bit-identical to a crash-free run;
+  the retry budget bounds recovery and exhaustion raises the structured
+  error taxonomy with the pool cleanly shut down.
 * **Degradation ladder** (:class:`repro.parallel.ResilientBackend` via
   :class:`repro.parallel.ParallelCoordinator`): a pool failing outright
   downshifts process -> thread -> serial, the session completes, and
@@ -41,8 +42,10 @@ from repro.costmodel.batched import LayerTable
 from repro.costmodel.constants import HardwareConfig
 from repro.costmodel.report import BatchCostReport
 from repro.models import get_model
+from repro.__main__ import main
 from repro.parallel import (
     EXECUTORS,
+    DistributedBackend,
     ExecutionError,
     FaultInjected,
     FaultPlan,
@@ -54,6 +57,13 @@ from repro.parallel import (
     WorkerCrashError,
     make_backend,
 )
+from repro.parallel.backend import (
+    default_dispatch_min_batch,
+    default_max_retries,
+    default_task_timeout,
+    default_workers,
+)
+from repro.parallel.distributed import default_nodes
 from repro.search import (
     CheckpointHook,
     SearchObserver,
@@ -89,7 +99,15 @@ def _assert_reports_equal(want: BatchCostReport,
 
 def _orphan_workers():
     return [process for process in multiprocessing.active_children()
-            if process.name.startswith("repro-worker")]
+            if process.name.startswith(("repro-worker", "repro-node"))]
+
+
+def _plane(name: str, **knobs):
+    """A two-worker backend on one data plane: a process pool or a
+    self-spawned socket fleet."""
+    if name == "distributed":
+        return DistributedBackend(nodes=2, **knobs)
+    return ProcessBackend(workers=2, **knobs)
 
 
 def _spec(**overrides) -> SearchSpec:
@@ -166,7 +184,72 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # Backend supervision and recovery
 # ----------------------------------------------------------------------
-class TestSupervision:
+class _SupervisionOnEitherPlane:
+    """Supervision cases every data plane of the scheduler core must
+    pass; ``plane`` picks the one a subclass runs them on."""
+
+    plane = "process"
+
+    def test_injected_raise_is_retried_in_place(self, batch_case):
+        """A raise_in_kernel fault is fire-once: the shard is re-sent to
+        the same (alive) worker and the batch completes identically."""
+        hw, table, inputs, reference = batch_case
+        plan = FaultPlan(raise_in_kernel=[(0, 1)])
+        with _plane(self.plane, fault_plan=plan,
+                    backoff_base_s=0.01) as backend:
+            _assert_reports_equal(reference,
+                                  backend.evaluate(hw, table, *inputs))
+            assert backend.retries == 1
+            assert backend.respawns == 0
+
+    def test_hung_worker_is_terminated_and_recovered(self, batch_case):
+        """A delay fault far beyond the deadline: the hung worker is
+        terminated, replaced, and the batch still matches serial."""
+        hw, table, inputs, reference = batch_case
+        plan = FaultPlan(delay_s=[(0, 1, 30.0)])
+        with _plane(self.plane, fault_plan=plan, task_timeout_s=0.5,
+                    backoff_base_s=0.01) as backend:
+            _assert_reports_equal(reference,
+                                  backend.evaluate(hw, table, *inputs))
+            assert backend.timeouts >= 1
+            assert backend.respawns >= 1
+            _assert_reports_equal(reference,
+                                  backend.evaluate(hw, table, *inputs))
+        assert not _orphan_workers()
+
+    def test_zero_retries_disables_recovery(self, batch_case):
+        hw, table, inputs, _ = batch_case
+        plan = FaultPlan(kill_worker=[(0, 0)])
+        backend = _plane(self.plane, fault_plan=plan, max_retries=0)
+        with pytest.raises(WorkerCrashError):
+            backend.evaluate(hw, table, *inputs)
+        assert backend.alive_workers == 0
+        assert not _orphan_workers()
+
+    def test_genuine_kernel_error_is_not_retried(self, batch_case,
+                                                 monkeypatch):
+        """A deterministic kernel bug must surface immediately as a
+        plain RuntimeError -- retries would only replay it -- and leave
+        the recovery counters untouched."""
+        # Pin a fault-free pool even under the CI chaos leg, which
+        # exports $REPRO_FAULTS globally: this test is about counters
+        # staying at zero.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        hw, table, inputs, reference = batch_case
+        with _plane(self.plane) as backend:
+            with pytest.raises(RuntimeError, match="worker"):
+                backend.evaluate(hw, table,
+                                 np.array([99], dtype=np.int64),
+                                 np.array([0], dtype=np.int64),
+                                 np.array([4], dtype=np.int64),
+                                 np.array([64], dtype=np.int64))
+            assert backend.retries == 0
+            # The pool survives for the next valid batch.
+            _assert_reports_equal(reference,
+                                  backend.evaluate(hw, table, *inputs))
+
+
+class TestSupervision(_SupervisionOnEitherPlane):
     def test_kill_recovery_is_bit_identical(self, batch_case):
         """Workers killed at two different batches: both respawned, all
         five batches bit-identical to serial."""
@@ -180,34 +263,6 @@ class TestSupervision:
             assert backend.respawns == 2
             assert backend.retries == 2
             assert backend.alive_workers == 2
-        assert not _orphan_workers()
-
-    def test_injected_raise_is_retried_in_place(self, batch_case):
-        """A raise_in_kernel fault is fire-once: the shard is re-sent to
-        the same (alive) worker and the batch completes identically."""
-        hw, table, inputs, reference = batch_case
-        plan = FaultPlan(raise_in_kernel=[(0, 1)])
-        with ProcessBackend(workers=2, fault_plan=plan,
-                            backoff_base_s=0.01) as backend:
-            _assert_reports_equal(reference,
-                                  backend.evaluate(hw, table, *inputs))
-            assert backend.retries == 1
-            assert backend.respawns == 0
-
-    def test_hung_worker_is_terminated_and_recovered(self, batch_case):
-        """A delay fault far beyond the deadline: the hung worker is
-        terminated, replaced, and the batch still matches serial."""
-        hw, table, inputs, reference = batch_case
-        plan = FaultPlan(delay_s=[(0, 1, 30.0)])
-        with ProcessBackend(workers=2, fault_plan=plan,
-                            task_timeout_s=0.5,
-                            backoff_base_s=0.01) as backend:
-            _assert_reports_equal(reference,
-                                  backend.evaluate(hw, table, *inputs))
-            assert backend.timeouts >= 1
-            assert backend.respawns >= 1
-            _assert_reports_equal(reference,
-                                  backend.evaluate(hw, table, *inputs))
         assert not _orphan_workers()
 
     def test_retry_exhaustion_raises_worker_crash_error(self, batch_case):
@@ -239,36 +294,6 @@ class TestSupervision:
         assert backend.alive_workers == 0
         assert not _orphan_workers()
 
-    def test_zero_retries_disables_recovery(self, batch_case):
-        hw, table, inputs, _ = batch_case
-        plan = FaultPlan(kill_worker=[(0, 0)])
-        backend = ProcessBackend(workers=2, fault_plan=plan, max_retries=0)
-        with pytest.raises(WorkerCrashError):
-            backend.evaluate(hw, table, *inputs)
-        assert not _orphan_workers()
-
-    def test_genuine_kernel_error_is_not_retried(self, batch_case,
-                                                 monkeypatch):
-        """A deterministic kernel bug must surface immediately as a
-        plain RuntimeError -- retries would only replay it -- and leave
-        the recovery counters untouched."""
-        # Pin a fault-free pool even under the CI chaos leg, which
-        # exports $REPRO_FAULTS globally: this test is about counters
-        # staying at zero.
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        hw, table, inputs, reference = batch_case
-        with ProcessBackend(workers=2) as backend:
-            with pytest.raises(RuntimeError, match="worker"):
-                backend.evaluate(hw, table,
-                                 np.array([99], dtype=np.int64),
-                                 np.array([0], dtype=np.int64),
-                                 np.array([4], dtype=np.int64),
-                                 np.array([64], dtype=np.int64))
-            assert backend.retries == 0
-            # The pool survives for the next valid batch.
-            _assert_reports_equal(reference,
-                                  backend.evaluate(hw, table, *inputs))
-
     def test_env_knobs_resolve_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
@@ -278,6 +303,38 @@ class TestSupervision:
         monkeypatch.setenv("REPRO_MAX_RETRIES", "-1")
         with pytest.raises(ValueError, match="REPRO_MAX_RETRIES"):
             ProcessBackend(workers=1)
+
+    @pytest.mark.parametrize("variable,resolve,out_of_range", [
+        ("REPRO_WORKERS", default_workers, "0"),
+        ("REPRO_NODES", default_nodes, "0"),
+        ("REPRO_MAX_RETRIES", default_max_retries, "-1"),
+        ("REPRO_TASK_TIMEOUT", default_task_timeout, "nan"),
+        ("REPRO_DISPATCH_MIN", default_dispatch_min_batch, "-1"),
+    ])
+    def test_malformed_env_knobs_name_the_variable(self, monkeypatch,
+                                                   variable, resolve,
+                                                   out_of_range):
+        for value in ("abc", "", out_of_range):
+            monkeypatch.setenv(variable, value)
+            with pytest.raises(ValueError, match=variable):
+                resolve()
+
+    def test_non_finite_deadlines_are_rejected(self, monkeypatch):
+        """A NaN deadline never fires (and makes the ack wait spin), so
+        it is refused wherever a deadline enters."""
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ProcessBackend(workers=1, task_timeout_s=value)
+            with pytest.raises(ValueError, match="finite"):
+                _spec(task_timeout_s=value)
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "nan")
+        with pytest.raises(ValueError, match="REPRO_TASK_TIMEOUT"):
+            ProcessBackend(workers=1)
+
+
+class TestSupervisionOverSockets(_SupervisionOnEitherPlane):
+    plane = "distributed"
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +372,31 @@ class TestDegradation:
         _assert_reports_equal(reference,
                               resilient.evaluate(hw, table, *inputs))
         assert resilient.degraded_to == "serial"
+        resilient.shutdown()
+
+    def test_next_rung_keeps_the_recovery_knobs(self, batch_case):
+        """A failed fleet's retry budget, deadline, and backoff carry
+        over to the process rung it degrades to."""
+        hw, table, inputs, reference = batch_case
+
+        class DeadFleet(ProcessBackend):
+            name = "distributed"
+
+            def evaluate(self, *_args):
+                raise WorkerCrashError("fleet lost", worker_names=["n0"])
+
+        seen = []
+        resilient = ResilientBackend(
+            DeadFleet(workers=2, min_batch_per_worker=10_000,
+                      max_retries=0, task_timeout_s=7.0,
+                      backoff_base_s=0.5),
+            on_degrade=lambda error, a, b: seen.append((
+                b, resilient.inner.max_retries,
+                resilient.inner.task_timeout_s,
+                resilient.inner.backoff_base_s)))
+        _assert_reports_equal(reference,
+                              resilient.evaluate(hw, table, *inputs))
+        assert seen == [("process", 0, 7.0, 0.5)]
         resilient.shutdown()
 
     def test_degrade_after_allows_same_rung_restarts(self, batch_case):
@@ -426,20 +508,31 @@ class TestSessionFaultTolerance:
         assert pool.alive_workers == 0
         assert not _orphan_workers()
 
-    def test_chaos_executor_is_registered_and_deterministic(self,
-                                                            monkeypatch):
-        """`chaos` is a first-class executor: spec-valid, defaulting to
-        a seeded plan, and -- like every backend -- bit-identical."""
+    def test_chaos_executor_is_retired(self, monkeypatch):
+        """The retired ``chaos`` name is refused everywhere a run is
+        configured; a saved document naming it loads as ``process`` and
+        reruns to its saved cost; and a fault run -- the process
+        executor under ``$REPRO_FAULTS`` -- is bit-identical to serial."""
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert "chaos" in EXECUTORS
-        backend = make_backend("chaos", workers=2)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.fault_plan == FaultPlan.seeded(0)
-        backend.shutdown()
+        assert "chaos" not in EXECUTORS
+        with pytest.raises(ValueError, match="executor"):
+            _spec(executor="chaos")
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_backend("chaos", workers=2)
+        with pytest.raises(SystemExit):
+            main(["search", "--model", "mobilenet_v2", "--executor",
+                  "chaos"])
         reference = SearchSession(_spec(executor="serial")).run()
-        chaotic = SearchSession(
-            _spec(executor="chaos", workers=2)).run()
-        assert _comparable(chaotic) == _comparable(reference)
+        document = reference.to_dict()
+        document["spec"]["executor"] = "chaos"
+        legacy = repro.SessionResult.from_dict(document)
+        assert legacy.spec.executor == "process"
+        rerun = SearchSession(legacy.spec.replace(workers=2)).run()
+        assert rerun.best_cost == document["result"]["best_cost"]
+        monkeypatch.setenv("REPRO_FAULTS", "seed:0")
+        faulted = SearchSession(_spec(executor="process", workers=2)).run()
+        assert _comparable(faulted) == _comparable(reference)
+        assert faulted.provenance["execution"]["retries"] > 0
         assert not _orphan_workers()
 
 
