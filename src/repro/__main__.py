@@ -498,8 +498,8 @@ def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
                              "0 disables; recovery never changes results)")
     parser.add_argument("--envs", type=int, default=None,
                         help="lockstep episodes per wave for episodic-RL "
-                             "methods (default: $REPRO_ENVS or 1; 1 is "
-                             "bit-identical to scalar stepping, >1 is a "
+                             "methods (default: $REPRO_ENVS or 1; 1 steps "
+                             "one episode at a time, >1 is a "
                              "faster, reproducible scenario -- see "
                              "BENCH_rl.json)")
 

@@ -44,6 +44,7 @@ __all__ = [
     "BatchedCostModel",
     "LRUCache",
     "LayerTable",
+    "area_terms",
     "evaluate_batch_kernel",
     "objective_totals",
     "ordered_row_sum",
@@ -205,6 +206,30 @@ class LayerTable:
         )
 
 
+def area_terms(hw: HardwareConfig, pes: np.ndarray, l1_bytes: np.ndarray
+               ) -> Tuple[np.ndarray, ...]:
+    """Vectorized :func:`~repro.costmodel.estimator.area_model`.
+
+    Returns ``(area, pe_area, l1_area, l2_area, noc_area, l2_bytes)``
+    arrays, with ``area`` summed in the scalar order.  Area depends only
+    on the resource assignment, never on the layer, so
+    :class:`~repro.env.vector.VectorHWAssignmentEnv` checks area budgets
+    with this closed form before any wave is scored, and the kernel
+    builds its report from it: the two cannot drift apart
+    (``tests/test_batched_estimator.py`` locks both against the scalar
+    estimator bit for bit).
+    """
+    # L2 sized to double-buffer the aggregate resident tile.
+    l2_bytes = np.ceil(hw.l2_double_sizing * pes * l1_bytes) \
+        .astype(np.int64)
+    pe_area = hw.mac_area_um2 * pes
+    l1_area = hw.l1_area_per_byte_um2 * l1_bytes * pes
+    l2_area = hw.l2_area_per_byte_um2 * l2_bytes
+    noc_area = hw.noc_area_per_pe_um2 * pes
+    area = pe_area + l1_area + l2_area + noc_area
+    return area, pe_area, l1_area, l2_area, noc_area, l2_bytes
+
+
 def evaluate_batch_kernel(
     hw: HardwareConfig,
     table: LayerTable,
@@ -261,14 +286,8 @@ def evaluate_batch_kernel(
     latency = np.maximum(compute_cycles, memory_cycles) \
         + hw.pipeline_fill_cycles
 
-    l2_bytes = np.ceil(hw.l2_double_sizing * pes * l1_bytes) \
-        .astype(np.int64)
-
-    pe_area = hw.mac_area_um2 * pes
-    l1_area = hw.l1_area_per_byte_um2 * l1_bytes * pes
-    l2_area = hw.l2_area_per_byte_um2 * l2_bytes
-    noc_area = hw.noc_area_per_pe_um2 * pes
-    area = pe_area + l1_area + l2_area + noc_area
+    area, pe_area, l1_area, l2_area, noc_area, l2_bytes = area_terms(
+        hw, pes, l1_bytes)
 
     macs = table.macs[layer_idx]
     dynamic_pj = (

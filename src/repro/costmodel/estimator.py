@@ -38,11 +38,11 @@ def area_model(hw: HardwareConfig, pes: int,
                l1_bytes: int) -> Tuple[float, float, float, float, int]:
     """(pe, l1, l2, noc) areas and the L2 size for one design point.
 
-    Area depends only on the resource assignment, never on the layer, so
-    it has a closed form the planned-episode path can evaluate without
-    running the dataflow mapper.  This is the *single* definition of the
-    area arithmetic -- ``_evaluate_uncached`` consumes it too, so the
-    cheap check and the full report cannot drift apart bit-wise.
+    The scalar oracle's area arithmetic (``_evaluate_uncached`` consumes
+    it).  Its vectorized twin is
+    :func:`~repro.costmodel.batched.area_terms`, shared by the batched
+    kernel and the vector env's deferred area check; the edge-dim parity
+    test locks the two together bit for bit.
     """
     # L2 sized to double-buffer the aggregate resident tile.
     l2_bytes = int(
@@ -53,12 +53,6 @@ def area_model(hw: HardwareConfig, pes: int,
     l2_area = hw.l2_area_per_byte_um2 * l2_bytes
     noc_area = hw.noc_area_per_pe_um2 * pes
     return pe_area, l1_area, l2_area, noc_area, l2_bytes
-
-
-def area_um2(hw: HardwareConfig, pes: int, l1_bytes: int) -> float:
-    """Total accelerator area for one design point (see ``area_model``)."""
-    pe_area, l1_area, l2_area, noc_area, _ = area_model(hw, pes, l1_bytes)
-    return pe_area + l1_area + l2_area + noc_area
 
 
 class CostModel:

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
 from repro.core.evaluator import Constraint
-from repro.costmodel.batched import STYLE_INDEX, LayerTable
-from repro.costmodel.estimator import CostModel, area_um2
+from repro.costmodel.batched import LayerTable
+from repro.costmodel.estimator import CostModel
 from repro.costmodel.report import CostReport
 from repro.env.observation import ObservationEncoder
 from repro.env.spaces import ActionSpace
@@ -242,42 +242,6 @@ class HWAssignmentEnv:
             return float(constraint.max_pes - self._used_pes)
         return constraint.budget - self._used_budget
 
-    # ------------------------------------------------------------------
-    # Planned episodes: batched scoring of a whole epoch
-    # ------------------------------------------------------------------
-    def plan_supported(self) -> bool:
-        """Whether this env can run deferred-scoring episodes.
-
-        A planned episode must decide termination (constraint violation)
-        *before* any cost-model results exist, because sampling the next
-        action may not happen after a violation -- that would consume RNG
-        the scalar path does not.  The check is exact for resource caps
-        (pure resource arithmetic) and for area budgets (area has a
-        closed form independent of the layer mapping); power needs the
-        full per-layer plan, so power-constrained envs stay on the
-        scalar step path.
-        """
-        if isinstance(self.constraint, ResourceConstraint):
-            return True
-        return self.constraint.kind == "area"
-
-    def begin_plan(self) -> "EpisodePlan":
-        """Start a deferred-scoring episode (call :meth:`reset` first).
-
-        The returned :class:`EpisodePlan` walks the layers exactly like
-        :meth:`step` -- same observations, same termination -- but defers
-        every cost-model evaluation to one batched call at
-        :meth:`EpisodePlan.commit`, which is where an installed parallel
-        backend shards the epoch across workers.
-        """
-        if not self.plan_supported():
-            raise RuntimeError(
-                "planned episodes need a resource or area constraint; "
-                f"this env is {self.constraint.kind!r}-constrained")
-        if self._done or self._step:
-            raise RuntimeError("begin_plan() requires a fresh reset()")
-        return EpisodePlan(self)
-
     @property
     def plan_table(self) -> LayerTable:
         """This model's :class:`LayerTable`, built once per env."""
@@ -287,130 +251,55 @@ class HWAssignmentEnv:
 
 
 class EpisodePlan:
-    """One deferred-scoring episode over a :class:`HWAssignmentEnv`.
+    """The unscored waves of one lockstep wave set over a
+    :class:`HWAssignmentEnv`.
 
-    The driver loop mirrors the scalar protocol::
-
-        observation = env.reset()
-        plan = env.begin_plan()
-        while not done:
-            action = policy(observation)
-            observation, done = plan.step(action)
-        rewards, episode = plan.commit()
-
-    :meth:`step` applies the action bookkeeping and the *exact*
-    termination rule of ``HWAssignmentEnv.step`` (resource arithmetic, or
-    the closed-form area model) without touching the cost model;
-    :meth:`commit` scores every recorded layer in one batched-estimator
-    call and replays the reward shaping sequentially, so the rewards, the
-    ``p_min`` trajectory, the :class:`EpisodeResult`, and all env
-    counters come out bit-identical to the scalar path.
+    :class:`~repro.env.vector.VectorHWAssignmentEnv` records every wave
+    it issues (:meth:`step`) and scores all recorded waves in one
+    :meth:`BatchedCostModel.evaluate
+    <repro.costmodel.batched.BatchedCostModel.evaluate>` call
+    (:meth:`commit`) -- the call an installed parallel backend shards.
+    Waves whose termination needs no cost report (resource caps, area
+    budgets) stay recorded until the first wait of the set; a
+    power-budgeted wave is committed as soon as it is recorded, since its
+    termination depends on the report.  The kernel is elementwise, so one
+    call over many waves is bit-identical to one call per wave.
     """
 
     def __init__(self, env: HWAssignmentEnv) -> None:
         self.env = env
-        self._actions: List[Tuple[int, ...]] = []
-        self._decoded: List[Tuple] = []
-        self._pes: List[int] = []
-        self._l1: List[int] = []
-        self._styles: List[str] = []
-        self._used_budget = 0.0
-        self._used_pes = 0
-        self._used_l1 = 0
-        self._done = False
-        self._violated = False
+        self._waves: List[Tuple] = []
 
-    # ------------------------------------------------------------------
-    def _check(self, pes: int, l1_bytes: int) -> bool:
-        """The termination rule of ``HWAssignmentEnv._consume``, computed
-        without a cost report."""
-        constraint = self.env.constraint
-        if isinstance(constraint, ResourceConstraint):
-            self._used_pes += pes
-            self._used_l1 += pes * l1_bytes
-            self._used_budget = float(self._used_pes)
-            return (self._used_pes > constraint.max_pes
-                    or self._used_l1 > constraint.max_l1_bytes)
-        # Area accumulates exactly as consumption(report) does: the
-        # closed form and the report share one arithmetic (area_model).
-        self._used_budget += area_um2(self.env.cost_model.hw, pes, l1_bytes)
-        return self._used_budget > constraint.budget
+    def step(self, wave, step_index: int, style_idx: np.ndarray,
+             pes: np.ndarray, l1_bytes: np.ndarray) -> None:
+        """Record one wave: its rows evaluate layer ``step_index`` at the
+        given styles, PE counts and L1 sizes."""
+        self._waves.append((wave, step_index, style_idx, pes, l1_bytes))
 
-    def step(self, action: Sequence[int]):
-        """Record one action; returns (observation, done) -- no reward
-        yet, rewards exist only after :meth:`commit`."""
-        if self._done:
-            raise RuntimeError("step() called on a finished plan")
+    def commit(self) -> None:
+        """Score every recorded wave in one batched call.
+
+        Each recorded wave receives its objective values
+        (``wave.costs``); a wave scored alone also keeps the report
+        (``wave.batch``), which power budgets and ``step()`` read.
+        """
+        waves, self._waves = self._waves, []
+        if not waves:
+            return
         env = self.env
-        action = tuple(int(a) for a in action)
-        step_index = len(self._actions)
-        layer = env.layers[step_index]
-        decoded = env.space.decode(action)
-        if len(decoded) == 3:
-            pes, l1_bytes, style = decoded
-        else:
-            pes, l1_bytes = decoded
-            style = env.dataflow
-        self._actions.append(action)
-        self._decoded.append(decoded)
-        self._pes.append(pes)
-        self._l1.append(l1_bytes)
-        self._styles.append(style)
-
-        if self._check(pes, l1_bytes):
-            self._violated = True
-            self._done = True
-            observation = env.encoder.encode(layer, step_index, action)
-            return observation, True
-
-        next_index = step_index + 1
-        self._done = next_index >= env.num_steps
-        next_layer = (layer if self._done else env.layers[next_index])
-        observation = env.encoder.encode(
-            next_layer, min(next_index, env.num_steps - 1), action)
-        return observation, self._done
-
-    # ------------------------------------------------------------------
-    def commit(self) -> Tuple[List[float], EpisodeResult]:
-        """Score the recorded episode in one batched call and fold the
-        outcome back into the env; returns (rewards, episode)."""
-        if not self._done:
-            raise RuntimeError("commit() before the episode finished")
-        env = self.env
-        steps = len(self._actions)
+        sizes = [len(pes) for _, _, _, pes, _ in waves]
         batch = env.cost_model.batched.evaluate(
             env.plan_table,
-            np.arange(steps, dtype=np.int64),
-            np.array([STYLE_INDEX[s] for s in self._styles], dtype=np.int64),
-            np.array(self._pes, dtype=np.int64),
-            np.array(self._l1, dtype=np.int64))
-        env.evaluations += steps
-        costs = np.asarray(env.objective.evaluate(batch)).tolist()
-
-        # Sequential replay of the reward shaping, in scalar step order.
-        rewards: List[float] = []
-        episode_cost = 0.0
-        for index, cost in enumerate(costs):
-            episode_cost += cost
-            if self._violated and index == steps - 1:
-                if env.penalty_mode == "accumulated":
-                    rewards.append(-float(sum(rewards)))
-                else:
-                    rewards.append(env.constant_penalty)
-                break
-            performance = -cost
-            if env.p_min is None or performance < env.p_min:
-                env.p_min = performance
-            if env.reward_shaping == "pmin":
-                rewards.append(performance - env.p_min)
-            else:
-                rewards.append(performance)
-
-        env._episode_actions = list(self._actions)
-        env._episode_assignments = list(self._decoded)
-        env._episode_cost = episode_cost
-        env._used_budget = self._used_budget
-        env._used_pes = self._used_pes
-        env._used_l1 = self._used_l1
-        episode = env._finish(feasible=not self._violated)
-        return rewards, episode
+            np.repeat(np.array([step for _, step, _, _, _ in waves],
+                               dtype=np.int64), sizes),
+            np.concatenate([style for _, _, style, _, _ in waves]),
+            np.concatenate([pes for _, _, _, pes, _ in waves]),
+            np.concatenate([l1 for _, _, _, _, l1 in waves]))
+        env.evaluations += len(batch)
+        costs = np.asarray(env.objective.evaluate(batch), dtype=np.float64)
+        if len(waves) == 1:
+            waves[0][0].batch = batch
+        start = 0
+        for (wave, *_), size in zip(waves, sizes):
+            wave.costs = costs[start:start + size]
+            start += size

@@ -1,17 +1,36 @@
-"""Lockstep multi-episode environment: one batched cost call per wave.
+"""Lockstep multi-episode environment: the one episode engine.
 
-The episodic agents used to advance one episode at a time, paying one
-scalar ``CostModel.evaluate_layer`` call per layer step -- the last
-remaining unbatched hot path after the population engine (PERFORMANCE.md).
-:class:`VectorHWAssignmentEnv` steps **E episodes in lockstep waves**: all
-live episodes sit at the same layer ``t``, so one wave evaluates their E
-candidate assignments for that layer in a single
+Every episodic agent rolls its episodes through
+:class:`VectorHWAssignmentEnv`: **E episodes in lockstep waves**, all live
+episodes at the same layer ``t``, with one batched policy forward per
+wave on the agent side.  A bare :class:`HWAssignmentEnv` handed to an
+agent's ``search()`` runs as a one-env vector env.  Budget consumption,
+termination, the shared cross-episode ``p_min`` stream, and the
+per-episode :class:`~repro.env.environment.EpisodeResult` bookkeeping are
+all vectorized; episodes that violate early are masked out of later
+waves.
+
+Deferred wave scoring
+---------------------
+Cost-model scoring goes through
+:class:`~repro.env.environment.EpisodePlan`, the record of a wave set's
+unscored waves, and one
 :class:`~repro.costmodel.batched.BatchedCostModel` call (routed through
-``CostModel.batched``, so an installed parallel executor and the adaptive
-dispatch threshold apply unchanged).  Budget consumption, termination, the
-shared cross-episode ``p_min`` stream, and the per-episode
-:class:`~repro.env.environment.EpisodeResult` bookkeeping are all
-vectorized; episodes that violate early are masked out of later waves.
+``CostModel.batched``, so an installed parallel executor and its
+dispatch threshold apply unchanged):
+
+* **Resource caps and area budgets** decide termination without a cost
+  report -- PE / buffer arithmetic, or the closed-form area of
+  :func:`~repro.costmodel.batched.area_terms`, bit-identical to the
+  report's ``area_um2``.  :meth:`step_async` only records such a wave;
+  the first :meth:`step_wait` of the set scores every recorded wave in
+  one call, then rewards fold wave by wave in issue order.  A driver
+  that issues a whole wave set before waiting (the REINFORCE and
+  actor-critic rollouts do) pays one cost call per wave set.
+* **Power budgets** need the report to decide termination, so each wave
+  is scored as it is issued.
+* :meth:`step` is ``step_wait(step_async(...))``: one call per wave, for
+  drivers that need each reward at once (the off-policy agents).
 
 Semantics
 ---------
@@ -20,83 +39,64 @@ Semantics
   replayed through a scalar :class:`HWAssignmentEnv` produces an
   identical :class:`EpisodeResult` -- the property suite in
   ``tests/test_vector_env.py`` locks this for any interleaving of
-  violating episodes.
+  violating episodes, with waits immediate or deferred.
 * The paper's cross-episode ``p_min`` ("worst layer performance observed
   across *all* episodes") folds across a wave in episode-index order:
   episode ``e``'s reward at step ``t`` sees the minimum over every
   earlier episode's step-``t`` performance in the same wave plus all
   previous waves.  For ``num_envs == 1`` this reduces exactly to the
-  scalar stream, making single-env vector stepping **bit-identical** to
-  ``HWAssignmentEnv.step`` (locked per episodic method by
-  ``tests/test_rl_vector_parity.py``); for ``num_envs > 1`` it is a new,
-  reproducible scenario (see the RNG contract in API.md).
-* Unlike planned episodes (``HWAssignmentEnv.begin_plan``), waves see the
-  full per-layer cost report before deciding termination, so **every**
-  constraint kind is supported -- including power budgets.
+  scalar stream of ``HWAssignmentEnv.step``; for ``num_envs > 1`` it is
+  a new, reproducible scenario (see the RNG contract in API.md).
 
 The driving agent interacts through a narrow protocol::
 
     observations = venv.reset(episodes)        # (E, obs_dim)
+    waves = []
     while not venv.all_done:
         live = venv.live_indices               # episode index per row
         actions = policy(observations)         # (len(live), heads)
-        observations, rewards, dones, info = venv.step(actions)
-        observations = observations[~dones]    # compact to the live set
+        wave = venv.step_async(actions)
+        waves.append(wave)
+        observations = wave.observations[~wave.dones]  # live set
+    for wave in waves:                         # in issue order
+        observations, rewards, dones, info = venv.step_wait(wave)
     # info["episodes"][row] carries the EpisodeResult on finishing rows.
 
 Cross-episode state (``p_min``, ``best``, ``episodes``, ``evaluations``)
-lives on the wrapped scalar env, so scalar and vector driving of the same
-``HWAssignmentEnv`` share one search history.
+lives on the wrapped scalar env.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.constraints import ResourceConstraint
-from repro.costmodel.batched import STYLE_INDEX
-from repro.env.environment import EpisodeResult, HWAssignmentEnv
+from repro.costmodel.batched import STYLE_INDEX, area_terms
+from repro.env.environment import EpisodePlan, EpisodeResult, HWAssignmentEnv
 
 __all__ = ["VectorHWAssignmentEnv"]
 
 
 class _WaveHandle:
-    """An in-flight wave from :meth:`VectorHWAssignmentEnv.step_async`.
+    """A wave issued by :meth:`VectorHWAssignmentEnv.step_async`.
 
-    ``observations`` and ``dones`` are valid immediately (termination
-    under a :class:`ResourceConstraint` depends only on the decoded
-    assignments), so a driver can run the next policy forward while the
-    wave's batched cost call is still in flight; rewards and episode
+    ``observations`` and ``dones`` are valid immediately; ``costs`` (the
+    wave's objective values) is filled when the wave's
+    :class:`EpisodePlan` commits -- and ``batch`` (its cost report) when
+    that commit scored this wave alone -- and rewards and episode
     results materialize in :meth:`VectorHWAssignmentEnv.step_wait`.
     """
 
     __slots__ = ("observations", "dones", "live", "step", "violated",
-                 "_batch", "_thread", "_box")
+                 "batch", "costs")
 
-    def __init__(self, live: np.ndarray, step: int,
-                 violated: np.ndarray) -> None:
+    def __init__(self, live: np.ndarray, step: int) -> None:
         self.live = live
         self.step = step
-        self.violated = violated
-        self._batch = None
-        self._thread = None
-        self._box = None
-
-    def batch(self):
-        """The wave's cost report, joining the background evaluation if
-        one is in flight (executor errors re-raise here)."""
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-            outcome, payload = self._box[0]
-            self._box = None
-            if outcome == "error":
-                raise payload
-            self._batch = payload
-        return self._batch
+        self.batch = None
+        self.costs = None
 
 
 class VectorHWAssignmentEnv:
@@ -134,6 +134,14 @@ class VectorHWAssignmentEnv:
             self._style_lut = None
             self._fixed_style = STYLE_INDEX[env.dataflow]
         self._resource = isinstance(env.constraint, ResourceConstraint)
+        #: Termination is decidable before scoring (resource arithmetic
+        #: or the closed-form area), so waves wait in the plan.
+        self._deferred = env.constraint.kind in ("resource", "area")
+        if env.constraint.kind == "area":
+            # Closed-form area of every (PE level, buffer level) pair.
+            self._level_area = area_terms(
+                env.cost_model.batched.hw, self._pe_levels[:, None],
+                self._buf_levels[None, :])[0]
         self._active = 0
         self._live = np.zeros(0, dtype=np.int64)
         self._step_index = 0
@@ -213,6 +221,7 @@ class VectorHWAssignmentEnv:
         self._used_budget = np.zeros(count, dtype=np.float64)
         self._used_pes = np.zeros(count, dtype=np.int64)
         self._used_l1 = np.zeros(count, dtype=np.int64)
+        self._plan = EpisodePlan(env)
         return env.encoder.encode_batch(env.layers[0], 0, None, count=count)
 
     # ------------------------------------------------------------------
@@ -236,10 +245,11 @@ class VectorHWAssignmentEnv:
                                 dtype=np.int64)
         return self._pe_levels[pe_idx], self._buf_levels[buf_idx], style_idx
 
-    def _consume(self, live: np.ndarray, pes: np.ndarray, l1: np.ndarray,
-                 batch) -> np.ndarray:
+    def _consume(self, live: np.ndarray, actions: np.ndarray,
+                 pes: np.ndarray, l1: np.ndarray, batch) -> np.ndarray:
         """Vectorized ``HWAssignmentEnv._consume``: charge the wave's
-        layers against each episode's budget; True per violated row."""
+        layers against each episode's budget; True per violated row.
+        ``batch`` is ``None`` for a deferred (not yet scored) wave."""
         constraint = self.env.constraint
         if self._resource:
             self._used_pes[live] += pes
@@ -247,7 +257,10 @@ class VectorHWAssignmentEnv:
             self._used_budget[live] = self._used_pes[live].astype(np.float64)
             return ((self._used_pes[live] > constraint.max_pes)
                     | (self._used_l1[live] > constraint.max_l1_bytes))
-        consumption = batch.constraint(constraint.kind)
+        if batch is None:
+            consumption = self._level_area[actions[:, 0], actions[:, 1]]
+        else:
+            consumption = batch.constraint(constraint.kind)
         self._used_budget[live] = self._used_budget[live] + consumption
         return self._used_budget[live] > constraint.budget
 
@@ -285,31 +298,17 @@ class VectorHWAssignmentEnv:
         return episode
 
     # ------------------------------------------------------------------
-    def _evaluate_wave(self, t: int, style_idx: np.ndarray,
-                       pes: np.ndarray, l1: np.ndarray, count: int):
-        """The wave's one batched cost call; an installed executor
-        shards it and adaptive dispatch applies unchanged."""
-        env = self.env
-        return env.cost_model.batched.evaluate(
-            env.plan_table,
-            np.full(count, t, dtype=np.int64),
-            style_idx, pes, l1)
-
-    def step_async(self, actions, background: bool = True) -> _WaveHandle:
-        """Advance the wave's env-side state and launch its cost batch.
+    def step_async(self, actions) -> _WaveHandle:
+        """Advance the wave's env-side state and record it for scoring.
 
         Returns a :class:`_WaveHandle` whose ``observations`` / ``dones``
         are valid immediately; pass it to :meth:`step_wait` -- in issue
-        order -- to join the cost call and obtain the wave's rewards.
-        Under a :class:`ResourceConstraint` (termination depends only on
-        the decoded PE / buffer charges) with a parallel executor
-        installed, the batched cost call runs on a background thread so
-        a driver can overlap the next policy forward with it
-        (double-buffered waves); otherwise the call runs inline and the
-        handle is already complete.  Results are bit-identical either
-        way: env mutations stay strictly ordered
-        ``async(t) -> wait(t) -> async(t+1)`` and no agent RNG is
-        consumed env-side.
+        order -- to obtain the wave's rewards.  Under resource caps and
+        area budgets the wave is only recorded in the set's
+        :class:`EpisodePlan` (the first wait scores every recorded wave
+        in one batched call); under a power budget it is scored here,
+        because termination needs the report.  No agent RNG is consumed
+        env-side, so when the scoring happens never changes a result.
         """
         live = self._live
         if len(live) == 0:
@@ -328,33 +327,12 @@ class VectorHWAssignmentEnv:
         self._pes[live, t] = pes
         self._l1[live, t] = l1
 
-        if self._resource:
-            violated = self._consume(live, pes, l1, None)
-            handle = _WaveHandle(live, t, violated)
-            if background and env.cost_model.executor is not None:
-                box: list = []
-
-                def run(evaluate=self._evaluate_wave,
-                        args=(t, style_idx, pes, l1, len(live))) -> None:
-                    try:
-                        box.append(("ok", evaluate(*args)))
-                    except BaseException as error:  # joined in batch()
-                        box.append(("error", error))
-
-                handle._box = box
-                handle._thread = threading.Thread(
-                    target=run, name="repro-wave-cost", daemon=True)
-                handle._thread.start()
-            else:
-                handle._batch = self._evaluate_wave(
-                    t, style_idx, pes, l1, len(live))
-        else:
-            # Budget constraints consume the wave's cost report, so
-            # termination needs the batch: evaluate inline.
-            batch = self._evaluate_wave(t, style_idx, pes, l1, len(live))
-            violated = self._consume(live, pes, l1, batch)
-            handle = _WaveHandle(live, t, violated)
-            handle._batch = batch
+        handle = _WaveHandle(live, t)
+        self._plan.step(handle, t, style_idx, pes, l1)
+        if not self._deferred:
+            self._plan.commit()
+        violated = self._consume(live, actions, pes, l1, handle.batch)
+        handle.violated = violated
 
         completed = t + 1 >= env.num_steps
         dones = violated | completed
@@ -376,20 +354,21 @@ class VectorHWAssignmentEnv:
         return handle
 
     def step_wait(self, handle: _WaveHandle):
-        """Join a wave launched by :meth:`step_async`.
+        """Score (if still unscored) and fold one wave from
+        :meth:`step_async`.
 
-        Returns the same ``(observations, rewards, dones, info)`` tuple
-        :meth:`step` returns.  Handles must be waited in issue order
-        (the shared ``p_min`` stream folds across waves sequentially);
-        the wave drivers keep at most one wave in flight.
+        Returns the ``(observations, rewards, dones, info)`` tuple
+        :meth:`step` returns, minus ``info["batch"]``.  Handles must be
+        waited in issue order (the shared ``p_min`` stream folds across
+        waves sequentially).
         """
+        if handle.costs is None:
+            self._plan.commit()
         env = self.env
         live = handle.live
         t = handle.step
         violated = handle.violated
-        batch = handle.batch()
-        env.evaluations += len(live)
-        costs = np.asarray(env.objective.evaluate(batch), dtype=np.float64)
+        costs = handle.costs
         self._episode_cost[live] = self._episode_cost[live] + costs
 
         # Shared p_min stream, folded across the wave in episode-index
@@ -425,7 +404,6 @@ class VectorHWAssignmentEnv:
         return handle.observations, rewards, dones, {
             "episodes": episodes_info,
             "violated": violated,
-            "batch": batch,
         }
 
     def step(self, actions):
@@ -445,4 +423,7 @@ class VectorHWAssignmentEnv:
             elsewhere); ``info["batch"]`` is the wave's
             :class:`~repro.costmodel.report.BatchCostReport`.
         """
-        return self.step_wait(self.step_async(actions, background=False))
+        handle = self.step_async(actions)
+        out = self.step_wait(handle)
+        out[3]["batch"] = handle.batch
+        return out

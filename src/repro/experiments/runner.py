@@ -84,15 +84,17 @@ def compare_methods(
     ``confuciux`` pipeline.
 
     ``executor`` / ``workers`` optionally shard every batched evaluation
-    of the grid through one parallel backend ("thread" / "process");
-    the worker pool is shared across all methods and shut down before
-    returning.  Results are bit-identical to the serial grid.
-    ``dispatch_min_batch`` tunes the adaptive in-process fallback for
+    of the grid through one keep-alive
+    :class:`~repro.parallel.ParallelCoordinator` ("thread" / "process" /
+    "distributed"): the worker pool is shared across all methods, runs
+    the same retry budget and degradation ladder a session does, and is
+    shut down before returning.  Results are bit-identical to the serial
+    grid.  ``dispatch_min_batch`` tunes the in-process fallback for
     small batches (``None`` resolves ``$REPRO_DISPATCH_MIN`` / the
-    executor's measured break-even; 0 always shards).  ``envs`` rolls the episodic-RL
-    methods as that many lockstep episodes per wave (one batched cost
-    call per layer step); unlike the executor knobs, ``envs > 1``
-    changes which episodes are sampled (reproducibly per seed).
+    executor's default; 0 always shards).  ``envs`` rolls the
+    episodic-RL methods as that many lockstep episodes per wave set;
+    unlike the executor knobs, ``envs > 1`` changes which episodes are
+    sampled (reproducibly per seed).
 
     ``cache`` plugs the grid into the content-addressed result store
     shared with the search service: pass a
@@ -126,14 +128,18 @@ def compare_methods(
 
     cost_model = cost_model or CostModel()
     constraint = task.constraint(cost_model)
-    backend = None
+    pool = None
     if executor is not None and executor != "serial":
-        from repro.parallel import default_dispatch_min_batch, make_backend
+        from repro.parallel import (
+            ParallelCoordinator,
+            default_dispatch_min_batch,
+        )
 
         if dispatch_min_batch is None:
             dispatch_min_batch = default_dispatch_min_batch(executor)
-        backend = make_backend(executor, workers, dispatch_min_batch)
-        cost_model.set_executor(backend)
+        pool = ParallelCoordinator(executor, workers=workers,
+                                   nodes=workers, keep_alive=True,
+                                   min_batch_per_worker=dispatch_min_batch)
     results: Dict[str, SearchResult] = {}
     try:
         for name in methods:
@@ -148,7 +154,17 @@ def compare_methods(
             context = SessionContext(task=task, budget=epochs, seed=seed,
                                      cost_model=cost_model,
                                      constraint=constraint, envs=envs)
-            results[name] = run_method(info, context)
+            if pool is None:
+                results[name] = run_method(info, context)
+            else:
+                # The pool observes each cell as a session would: it
+                # installs itself on the shared cost model at start and
+                # uninstalls at teardown, keeping its workers alive.
+                pool.on_start(context)
+                try:
+                    results[name] = run_method(info, context)
+                finally:
+                    pool.on_teardown()
             if spec is not None:
                 import repro
 
@@ -158,7 +174,6 @@ def compare_methods(
                                 "method_kind": info.kind,
                                 "source": "compare_methods"}))
     finally:
-        if backend is not None:
-            cost_model.set_executor(None)
-            backend.shutdown()
+        if pool is not None:
+            pool.close()
     return results

@@ -10,7 +10,7 @@ lifecycle:
   (:class:`~repro.parallel.backend.ResilientBackend`, unless
   ``degrade=False``), and install it on the session's cost model, so
   every population-level consumer of the run -- GA generations, the
-  baseline optimizers, batched REINFORCE epochs -- shards through it
+  baseline optimizers, the RL agents' wave sets -- shards through it
   without knowing it exists.
 * ``on_teardown`` -- snapshot the fault-tolerance counters, uninstall
   the backend, and shut the workers down.  The session fires this hook

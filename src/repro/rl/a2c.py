@@ -22,6 +22,7 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.rl.common import (
     SearchAlgorithm,
     SearchResult,
+    as_vector_env,
     discounted_returns,
     drive_wave_sets,
     rollout_waves,
@@ -59,23 +60,6 @@ class A2C(SearchAlgorithm):
         self.optimizer = Adam(
             self.policy.parameters() + self.critic.parameters(), lr=self.lr)
 
-    def _collect(self, env: HWAssignmentEnv):
-        """Sample one episode without gradients; return arrays."""
-        observation = env.reset()
-        observations: List[np.ndarray] = []
-        actions: List[List[int]] = []
-        rewards: List[float] = []
-        done = False
-        while not done:
-            obs_tensor = Tensor(observation.reshape(1, -1))
-            dists, _ = self.policy(obs_tensor, None)
-            action = [int(d.sample(self.rng)[0]) for d in dists]
-            observations.append(observation)
-            actions.append(action)
-            observation, reward, done, _ = env.step(action)
-            rewards.append(reward)
-        return np.array(observations), actions, rewards
-
     def _act_wave(self, observations: np.ndarray):
         """One batched policy forward for a whole lockstep wave (no
         graph: the update recomputes its own forward)."""
@@ -85,30 +69,21 @@ class A2C(SearchAlgorithm):
         return actions, None
 
     def _collect_vector(self, venv, episodes: int):
-        """Sample ``episodes`` lockstep episodes; one cost-model batch
-        and one policy forward per wave.  For a single episode the
-        sampled actions, rewards, and RNG stream are bit-identical to
-        :meth:`_collect`."""
+        """Sample ``episodes`` lockstep episodes without gradients: one
+        policy forward per wave, one cost-model batch per wave set
+        under resource caps and area budgets."""
         waves = rollout_waves(venv, episodes, self._act_wave)
         return waves_to_trajectories(waves, episodes)
 
     def _precondition(self) -> None:
         """Hook for ACKTR's trust-region scaling (no-op for plain A2C)."""
 
-    def update(self, observations: np.ndarray, actions: List[List[int]],
-               rewards: List[float]) -> float:
-        """One actor-critic step over a single episode."""
-        returns = standardize(discounted_returns(rewards, self.discount))
-        return self._update_arrays(observations, actions, returns)
-
     def update_wave(self, trajectories) -> float:
         """One actor-critic step over a wave of lockstep episodes.
 
         The wave is the minibatch -- the synchronous-A2C convention:
-        per-episode discounted returns (standardized per episode, the
-        scalar rule) are concatenated and a single forward/backward
-        serves every episode.  For a one-episode wave this is exactly
-        :meth:`update`.
+        per-episode discounted returns (standardized per episode) are
+        concatenated and a single forward/backward serves every episode.
         """
         observations = np.concatenate(
             [np.array(trajectory.observations)
@@ -151,23 +126,18 @@ class A2C(SearchAlgorithm):
         self.optimizer.step()
         return loss.item()
 
-    def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
+    def search(self, env, epochs: int) -> SearchResult:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         result, started = self._start(self.name)
+        venv = as_vector_env(env)
         if self.policy is None:
-            self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self.update_wave(
-                    self._collect_vector(env, episodes)))
-        else:
-            for _ in range(epochs):
-                observations, actions, rewards = self._collect(env)
-                self.update(observations, actions, rewards)
-                result.record(env.best.cost if env.best else None)
-        self._finalize(result, env, started)
+            self._build(venv)
+        drive_wave_sets(
+            venv, epochs, result,
+            lambda episodes: self.update_wave(
+                self._collect_vector(venv, episodes)))
+        self._finalize(result, venv, started)
         result.memory_bytes = 8 * (self.policy.num_parameters()
                                    + self.critic.num_parameters())
         return result

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.env.environment import EpisodeResult, HWAssignmentEnv
+from repro.env.vector import VectorHWAssignmentEnv
 
 
 @dataclass
@@ -193,6 +194,15 @@ class Trajectory:
     rows: List[Tuple[int, int]] = field(default_factory=list)
 
 
+def as_vector_env(env):
+    """``env`` itself when it already steps lockstep waves, else a
+    one-env :class:`~repro.env.vector.VectorHWAssignmentEnv` over it --
+    the single episode engine every agent's ``search()`` drives."""
+    if getattr(env, "is_vector", False):
+        return env
+    return VectorHWAssignmentEnv(env, 1)
+
+
 def drive_wave_sets(venv, epochs: int, result: SearchResult,
                     run_wave_set) -> None:
     """The shared vector-rollout driver every episodic agent uses.
@@ -201,8 +211,8 @@ def drive_wave_sets(venv, epochs: int, result: SearchResult,
     ``venv.num_envs`` lockstep episodes (the last set shrinks so the
     budget is spent exactly), hands each set to
     ``run_wave_set(episodes)`` -- the agent's collect-and-update step --
-    and records one best-so-far history entry per episode, keeping the
-    convergence-trace length equal to the scalar loop's.
+    and records one best-so-far history entry per episode, so the
+    convergence trace has one entry per epoch at every ``envs``.
     """
     remaining = epochs
     while remaining:
@@ -223,47 +233,26 @@ def rollout_waves(venv, episodes: int, act) -> List[WaveStep]:
     per wave, row ``e`` belonging to episode ``live[e]`` -- the vector
     RNG contract (see API.md).
 
-    Waves are double-buffered when the env supports ``step_async``:
-    wave ``t``'s batched cost call (sharded across a parallel executor
-    when one is installed) stays in flight while wave ``t+1``'s policy
-    forward runs, and is joined before the next wave is issued.  Env
-    mutations stay strictly ordered and the agent RNG stream is
-    untouched, so the rollout is bit-identical to plain stepping.
+    Every wave of the set is issued before any is waited: rewards are
+    needed only once the episodes finish, so under resource caps and
+    area budgets the env scores the whole wave set in one batched cost
+    call (see :mod:`repro.env.vector`).
     """
     observations = venv.reset(episodes)
-    waves: List[WaveStep] = []
-    step_async = getattr(venv, "step_async", None)
-    if step_async is None:
-        while not venv.all_done:
-            live = venv.live_indices
-            actions, extras = act(observations)
-            next_observations, rewards, dones, _ = venv.step(actions)
-            waves.append(WaveStep(live=live, observations=observations,
-                                  actions=actions, rewards=rewards,
-                                  dones=dones, extras=extras))
-            observations = next_observations[~dones]
-        return waves
-    pending = None
+    issued = []
     while not venv.all_done:
         live = venv.live_indices
-        actions, extras = act(observations)  # overlaps the in-flight wave
-        if pending is not None:
-            _collect_wave(venv, waves, pending)
-        handle = step_async(actions)
-        pending = (live, observations, actions, extras, handle)
+        actions, extras = act(observations)
+        handle = venv.step_async(actions)
+        issued.append((live, observations, actions, extras, handle))
         observations = handle.observations[~handle.dones]
-    if pending is not None:
-        _collect_wave(venv, waves, pending)
+    waves: List[WaveStep] = []
+    for live, observations, actions, extras, handle in issued:
+        _, rewards, dones, _ = venv.step_wait(handle)
+        waves.append(WaveStep(live=live, observations=observations,
+                              actions=actions, rewards=rewards,
+                              dones=dones, extras=extras))
     return waves
-
-
-def _collect_wave(venv, waves: List[WaveStep], pending) -> None:
-    """Join one in-flight wave and append its :class:`WaveStep`."""
-    live, observations, actions, extras, handle = pending
-    _, rewards, dones, _ = venv.step_wait(handle)
-    waves.append(WaveStep(live=live, observations=observations,
-                          actions=actions, rewards=rewards,
-                          dones=dones, extras=extras))
 
 
 def waves_to_trajectories(waves: Sequence[WaveStep],

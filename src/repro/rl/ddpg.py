@@ -46,15 +46,6 @@ class DDPG(OffPolicyAgent):
         self.actor_optimizer = Adam(self.actor.parameters(), lr=self.lr)
         self.critic_optimizer = Adam(self.critic.parameters(), lr=self.lr)
 
-    def _act(self, observation: np.ndarray, explore: bool) -> np.ndarray:
-        with no_grad():
-            action = self.actor(
-                Tensor(observation.reshape(1, -1))).numpy()[0]
-        if explore:
-            action = action + self.rng.normal(0.0, self.noise_sigma,
-                                              size=action.shape)
-        return np.clip(action, -1.0, 1.0)
-
     def _act_batch(self, observations: np.ndarray,
                    explore: bool) -> np.ndarray:
         with no_grad():

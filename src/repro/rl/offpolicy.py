@@ -20,6 +20,7 @@ from repro.rl.common import (
     ReplayBuffer,
     SearchAlgorithm,
     SearchResult,
+    as_vector_env,
     drive_wave_sets,
 )
 
@@ -86,14 +87,10 @@ class OffPolicyAgent(SearchAlgorithm):
     def _build(self, env: HWAssignmentEnv) -> None:
         raise NotImplementedError
 
-    def _act(self, observation: np.ndarray, explore: bool) -> np.ndarray:
-        raise NotImplementedError
-
     def _act_batch(self, observations: np.ndarray,
                    explore: bool) -> np.ndarray:
-        """Batched :meth:`_act` over an ``(E, obs_dim)`` wave (one policy
-        forward, one batched noise draw); bit-identical per row for a
-        one-row batch."""
+        """Box actions for an ``(E, obs_dim)`` wave: one policy forward
+        and one batched noise draw."""
         raise NotImplementedError
 
     def _update(self) -> None:
@@ -109,8 +106,8 @@ class OffPolicyAgent(SearchAlgorithm):
         The warmup budget is spent in episode-index order within the
         wave: the leading rows still inside it draw uniform box actions
         (one batched draw), the rest act through the policy (one batched
-        forward + noise draw) -- for one live episode this is exactly the
-        scalar per-step rule.
+        forward + noise draw) -- for one live episode, the per-step
+        warmup rule.
         """
         live = len(observations)
         warmup_rows = int(np.clip(self.warmup_steps - self._total_steps,
@@ -128,8 +125,7 @@ class OffPolicyAgent(SearchAlgorithm):
         """One lockstep wave set: per wave, one batched act, one batched
         env step (a single cost-model call), one transition append per
         live episode, and -- past warmup -- one replay update per
-        transition, mirroring the scalar loop's one-update-per-step
-        cadence."""
+        transition (the one-update-per-environment-step cadence)."""
         head_sizes = venv.space.head_sizes
         observations = venv.reset(episodes)
         while not venv.all_done:
@@ -148,42 +144,20 @@ class OffPolicyAgent(SearchAlgorithm):
                     self._update()
             observations = next_observations[~dones]
 
-    def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
+    def search(self, env, epochs: int) -> SearchResult:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         result, started = self._start(self.name)
+        venv = as_vector_env(env)
         if self.buffer is None:
-            self.action_dim = len(env.space.head_sizes)
+            self.action_dim = len(venv.space.head_sizes)
             self.buffer = ReplayBuffer(self.buffer_capacity,
-                                       env.observation_dim, self.action_dim)
-            self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self._run_wave_set(env, episodes))
-        else:
-            head_sizes = env.space.head_sizes
-            for _ in range(epochs):
-                observation = env.reset()
-                done = False
-                while not done:
-                    if self._total_steps < self.warmup_steps:
-                        action = self.rng.uniform(-1.0, 1.0,
-                                                  self.action_dim)
-                    else:
-                        action = self._act(observation, explore=True)
-                    levels = continuous_to_levels(action, head_sizes)
-                    next_observation, reward, done, _ = env.step(levels)
-                    self.buffer.add(observation, action, reward,
-                                    next_observation, done)
-                    observation = next_observation
-                    self._total_steps += 1
-                    if (self._total_steps >= self.warmup_steps
-                            and len(self.buffer) >= self.batch_size):
-                        for _ in range(self.updates_per_step):
-                            self._update()
-                result.record(env.best.cost if env.best else None)
-        self._finalize(result, env, started)
+                                       venv.observation_dim, self.action_dim)
+            self._build(venv)
+        drive_wave_sets(
+            venv, epochs, result,
+            lambda episodes: self._run_wave_set(venv, episodes))
+        self._finalize(result, venv, started)
         result.memory_bytes = self._memory_bytes()
         # Replay buffer dominates the paper's memory-overhead row.
         result.memory_bytes += self.buffer.obs.nbytes * 2 \

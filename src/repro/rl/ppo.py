@@ -9,7 +9,7 @@ minibatched update passes with the probability-ratio clip.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.rl.common import (
     SearchAlgorithm,
     SearchResult,
+    as_vector_env,
     discounted_returns,
     drive_wave_sets,
     rollout_waves,
@@ -64,30 +65,6 @@ class PPO2(SearchAlgorithm):
         self.optimizer = Adam(
             self.policy.parameters() + self.critic.parameters(), lr=self.lr)
 
-    def _collect(self, env: HWAssignmentEnv):
-        observation = env.reset()
-        observations: List[np.ndarray] = []
-        actions: List[List[int]] = []
-        rewards: List[float] = []
-        old_log_probs: List[float] = []
-        done = False
-        while not done:
-            with no_grad():
-                dists, _ = self.policy(Tensor(observation.reshape(1, -1)),
-                                       None)
-                action = [int(d.sample(self.rng)[0]) for d in dists]
-                logp = sum(
-                    float(d.log_prob([action[i]]).numpy()[0])
-                    for i, d in enumerate(dists)
-                )
-            observations.append(observation)
-            actions.append(action)
-            old_log_probs.append(logp)
-            observation, reward, done, _ = env.step(action)
-            rewards.append(reward)
-        return (np.array(observations), actions, rewards,
-                np.array(old_log_probs))
-
     def _act_wave(self, observations: np.ndarray):
         """Batched action sampling plus behavior log-probs for a wave."""
         with no_grad():
@@ -101,9 +78,9 @@ class PPO2(SearchAlgorithm):
         return actions, log_probs
 
     def _collect_vector(self, venv, episodes: int):
-        """Lockstep episode collection (one cost batch per wave); each
-        trajectory additionally carries its behavior log-probabilities.
-        Bit-identical to :meth:`_collect` for a single episode."""
+        """Lockstep episode collection (see :meth:`A2C._collect_vector
+        <repro.rl.a2c.A2C._collect_vector>`); each trajectory
+        additionally carries its behavior log-probabilities."""
         waves = rollout_waves(venv, episodes, self._act_wave)
         trajectories = waves_to_trajectories(waves, episodes)
         collected = []
@@ -143,24 +120,13 @@ class PPO2(SearchAlgorithm):
                 + self.value_coef * value_loss
                 - self.entropy_coef * entropies.mean())
 
-    def update(self, observations, actions, rewards, old_log_probs) -> float:
-        """Clipped-surrogate passes over a single collected episode."""
-        returns = standardize(discounted_returns(rewards, self.discount))
-        with no_grad():
-            values = self.critic(Tensor(observations)).numpy().reshape(-1)
-        advantages = standardize(returns - values)
-        return self._update_passes(observations, actions, old_log_probs,
-                                   advantages, returns)
-
     def update_wave(self, collected) -> float:
         """Clipped-surrogate passes over a wave of lockstep episodes.
 
         The wave is the rollout batch -- the standard vectorized-PPO
         convention: returns and advantages are computed (and
-        standardized) per episode exactly as the scalar rule does, then
-        concatenated so the minibatched update passes shuffle across the
-        whole wave.  For a one-episode wave this is exactly
-        :meth:`update`.
+        standardized) per episode, then concatenated so the minibatched
+        update passes shuffle across the whole wave.
         """
         observations = np.concatenate([c[0] for c in collected])
         actions = [action for c in collected for action in c[1]]
@@ -202,24 +168,18 @@ class PPO2(SearchAlgorithm):
                 last_loss = loss.item()
         return last_loss
 
-    def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
+    def search(self, env, epochs: int) -> SearchResult:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         result, started = self._start(self.name)
+        venv = as_vector_env(env)
         if self.policy is None:
-            self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self.update_wave(
-                    self._collect_vector(env, episodes)))
-        else:
-            for _ in range(epochs):
-                observations, actions, rewards, old_log_probs = \
-                    self._collect(env)
-                self.update(observations, actions, rewards, old_log_probs)
-                result.record(env.best.cost if env.best else None)
-        self._finalize(result, env, started)
+            self._build(venv)
+        drive_wave_sets(
+            venv, epochs, result,
+            lambda episodes: self.update_wave(
+                self._collect_vector(venv, episodes)))
+        self._finalize(result, venv, started)
         result.memory_bytes = 8 * (self.policy.num_parameters()
                                    + self.critic.num_parameters())
         return result

@@ -20,6 +20,7 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.rl.common import (
     SearchAlgorithm,
     SearchResult,
+    as_vector_env,
     drive_wave_sets,
     normalize_rewards_for_training,
 )
@@ -35,13 +36,6 @@ class Reinforce(SearchAlgorithm):
         discount: Return discount; the paper found 0.9 a good default.
         entropy_coef: Exploration bonus weight.
         hidden_size: LSTM width.
-        batch_episodes: Score each epoch's sampled episode through the
-            batched estimator in one call -- the call an installed
-            parallel backend shards across workers -- instead of one
-            scalar cost-model call per layer step.  Bit-identical to the
-            scalar path (rewards, RNG stream, results) and therefore on
-            by default; envs whose termination rule needs full per-layer
-            reports (power budgets) fall back to scalar stepping.
         seed: RNG seed for reproducible searches.
     """
 
@@ -50,7 +44,6 @@ class Reinforce(SearchAlgorithm):
     def __init__(self, policy: str = "rnn", lr: float = 3e-3,
                  discount: float = 0.9, entropy_coef: float = 0.01,
                  hidden_size: int = 128, max_grad_norm: float = 5.0,
-                 batch_episodes: bool = True,
                  seed: Optional[int] = None) -> None:
         self.policy_kind = policy
         self.lr = lr
@@ -58,7 +51,6 @@ class Reinforce(SearchAlgorithm):
         self.entropy_coef = entropy_coef
         self.hidden_size = hidden_size
         self.max_grad_norm = max_grad_norm
-        self.batch_episodes = batch_episodes
         self.rng = np.random.default_rng(seed)
         self.policy = None
         self.optimizer = None
@@ -70,104 +62,34 @@ class Reinforce(SearchAlgorithm):
             rng=self.rng, hidden_size=self.hidden_size)
         self.optimizer = Adam(self.policy.parameters(), lr=self.lr)
 
-    def _sample_step(self, observation, state):
-        """Sample one action tuple from the policy.
-
-        The single sampling implementation for both episode drivers: the
-        planned path's bit-identical-RNG guarantee rests on the scalar
-        and deferred loops consuming randomness through exactly this
-        code.  Returns (action, summed log-prob, summed entropy, state).
-        """
-        obs_tensor = Tensor(observation.reshape(1, -1))
-        dists, state = self.policy(obs_tensor, state)
-        action = [int(d.sample(self.rng)[0]) for d in dists]
-        step_logp = dists[0].log_prob([action[0]])
-        step_entropy = dists[0].entropy()
-        for head, dist in enumerate(dists[1:], start=1):
-            step_logp = step_logp + dist.log_prob([action[head]])
-            step_entropy = step_entropy + dist.entropy()
-        return action, step_logp, step_entropy, state
-
-    def run_episode(self, env: HWAssignmentEnv):
-        """Roll out one episode keeping the autograd graph alive.
+    def run_episode(self, env):
+        """Roll out one episode (a one-episode wave) keeping the autograd
+        graph alive.
 
         Returns (log_prob tensors, entropy tensors, rewards, episode info).
         """
-        observation = env.reset()
-        state = self.policy.initial_state()
-        log_probs: List[Tensor] = []
-        entropies: List[Tensor] = []
-        rewards: List[float] = []
-        episode = None
-        done = False
-        while not done:
-            action, step_logp, step_entropy, state = self._sample_step(
-                observation, state)
-            observation, reward, done, info = env.step(action)
-            log_probs.append(step_logp)
-            entropies.append(step_entropy)
-            rewards.append(reward)
-            episode = info["episode"]
-        return log_probs, entropies, rewards, episode
+        return self.run_wave(as_vector_env(env), 1)[0]
 
-    def run_episode_planned(self, env: HWAssignmentEnv):
-        """Roll out one episode with deferred batched scoring.
-
-        Sampling is step-by-step (the LSTM is sequential and termination
-        must be exact -- see ``HWAssignmentEnv.plan_supported``), but no
-        cost-model call happens until ``commit``, which scores the whole
-        epoch as one batched -- and, with a parallel backend installed,
-        sharded -- evaluation.  Observations, sampled actions, rewards,
-        and the RNG stream are bit-identical to :meth:`run_episode`.
-        """
-        observation = env.reset()
-        plan = env.begin_plan()
-        state = self.policy.initial_state()
-        log_probs: List[Tensor] = []
-        entropies: List[Tensor] = []
-        done = False
-        while not done:
-            action, step_logp, step_entropy, state = self._sample_step(
-                observation, state)
-            observation, done = plan.step(action)
-            log_probs.append(step_logp)
-            entropies.append(step_entropy)
-        rewards, episode = plan.commit()
-        return log_probs, entropies, rewards, episode
+    # Kept for the benchmark's tracer, which wraps this name.
+    run_episode_planned = run_episode
 
     def run_wave(self, venv, episodes: int):
         """Roll ``episodes`` lockstep episodes through a vector env.
 
         One policy forward (and one batched action draw per head) serves
-        the whole wave, and the env scores the wave's layers in one
-        batched cost call.  The LSTM state is row-compacted as episodes
-        finish.  Returns one ``(log_probs, entropies, rewards)`` triple
+        the whole wave.  The LSTM state is row-compacted as episodes
+        finish.  Every wave is issued before any is waited -- the
+        policy is updated only at the end of the epoch, so rewards are
+        needed only then -- which lets the env score the whole wave set
+        in one batched cost call under resource caps and area budgets.
+        Returns one ``(log_probs, entropies, rewards, episode)`` tuple
         per episode, where the tensors are single-row views into the
-        wave graph -- for one episode the values, rewards, and RNG
-        stream are bit-identical to :meth:`run_episode`.
-
-        Waves are double-buffered when the env supports ``step_async``:
-        wave ``t``'s batched cost call stays in flight while wave
-        ``t+1``'s policy forward (and action sampling) runs, joined
-        before the next wave is issued -- bit-identical to plain
-        stepping (see ``rollout_waves``).
+        wave graph (a one-row wave's tensors themselves) and ``episode``
+        is its :class:`~repro.env.environment.EpisodeResult`.
         """
         observations = venv.reset(episodes)
         state = self.policy.initial_state(batch=episodes)
-        per_episode = [([], [], []) for _ in range(episodes)]
-        step_async = getattr(venv, "step_async", None)
-        pending = None
-
-        def flush(pending) -> None:
-            live, step_logp, step_entropy, handle = pending
-            _, rewards, _, _ = venv.step_wait(handle)
-            reward_list = rewards.tolist()
-            for row, episode in enumerate(live.tolist()):
-                log_probs, entropies, episode_rewards = per_episode[episode]
-                log_probs.append(step_logp[[row]])
-                entropies.append(step_entropy[[row]])
-                episode_rewards.append(reward_list[row])
-
+        issued = []
         while not venv.all_done:
             live = venv.live_indices
             dists, state = self.policy(Tensor(observations), state)
@@ -177,28 +99,30 @@ class Reinforce(SearchAlgorithm):
             for head, dist in enumerate(dists[1:], start=1):
                 step_logp = step_logp + dist.log_prob(actions[:, head])
                 step_entropy = step_entropy + dist.entropy()
-            if step_async is None:
-                observations, rewards, dones, _ = venv.step(actions)
-                reward_list = rewards.tolist()
-                for row, episode in enumerate(live.tolist()):
-                    (log_probs, entropies,
-                     episode_rewards) = per_episode[episode]
-                    log_probs.append(step_logp[[row]])
-                    entropies.append(step_entropy[[row]])
-                    episode_rewards.append(reward_list[row])
-            else:
-                if pending is not None:
-                    flush(pending)
-                handle = step_async(actions)
-                pending = (live, step_logp, step_entropy, handle)
-                observations, dones = handle.observations, handle.dones
-            keep = ~dones
-            observations = observations[keep]
+            handle = venv.step_async(actions)
+            issued.append((live, step_logp, step_entropy, handle))
+            keep = ~handle.dones
+            observations = handle.observations[keep]
             if state is not None and not keep.all():
                 state = (state[0][keep], state[1][keep])
-        if pending is not None:
-            flush(pending)
-        return per_episode
+
+        per_episode = [([], [], []) for _ in range(episodes)]
+        finished = [None] * episodes
+        for live, step_logp, step_entropy, handle in issued:
+            _, rewards, _, info = venv.step_wait(handle)
+            reward_list = rewards.tolist()
+            for row, index in enumerate(live.tolist()):
+                log_probs, entropies, episode_rewards = per_episode[index]
+                if len(live) == 1:  # skip the gather node
+                    log_probs.append(step_logp)
+                    entropies.append(step_entropy)
+                else:
+                    log_probs.append(step_logp[[row]])
+                    entropies.append(step_entropy[[row]])
+                episode_rewards.append(reward_list[row])
+                finished[index] = info["episodes"][row] or finished[index]
+        return [(*logs, episode)
+                for logs, episode in zip(per_episode, finished)]
 
     def _episode_loss(self, log_probs: List[Tensor],
                       entropies: List[Tensor],
@@ -211,18 +135,10 @@ class Reinforce(SearchAlgorithm):
             loss = term if loss is None else loss + term
         return -loss.sum() * (1.0 / max(len(rewards), 1))
 
-    def _apply_loss(self, loss: Tensor) -> float:
-        self.optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
-        self.optimizer.step()
-        return loss.item()
-
     def update(self, log_probs: List[Tensor], entropies: List[Tensor],
                rewards: List[float]) -> float:
-        """One policy-gradient step; returns the scalar loss."""
-        return self._apply_loss(
-            self._episode_loss(log_probs, entropies, rewards))
+        """One policy-gradient step on one episode; returns the loss."""
+        return self.update_wave([(log_probs, entropies, rewards, None)])
 
     def update_wave(self, per_episode) -> float:
         """One policy-gradient step over a wave of episodes.
@@ -230,38 +146,37 @@ class Reinforce(SearchAlgorithm):
         The wave's episodes form one minibatch -- the mean of the
         per-episode losses, the standard vectorized-REINFORCE estimator
         (the per-step tensors share one wave graph, which supports a
-        single backward).  For a one-episode wave this is exactly
-        :meth:`update`.
+        single backward).
         """
-        losses = [self._episode_loss(*logs) for logs in per_episode]
+        losses = [self._episode_loss(log_probs, entropies, rewards)
+                  for log_probs, entropies, rewards, _ in per_episode]
         loss = losses[0]
         for other in losses[1:]:
             loss = loss + other
         if len(losses) > 1:
             loss = loss * (1.0 / len(losses))
-        return self._apply_loss(loss)
+        self.optimizer.zero_grad()
+        loss.backward()
+        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
+        self.optimizer.step()
+        return loss.item()
 
     # ------------------------------------------------------------------
-    def search(self, env: HWAssignmentEnv, epochs: int) -> SearchResult:
-        """Train for ``epochs`` episodes; track the best feasible design."""
+    def search(self, env, epochs: int) -> SearchResult:
+        """Train for ``epochs`` episodes; track the best feasible design.
+
+        ``env`` is a vector env (``envs`` lockstep episodes per update)
+        or a bare :class:`HWAssignmentEnv`, run as a one-env vector env.
+        """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         result, started = self._start(self.name)
+        venv = as_vector_env(env)
         if self.policy is None:
-            self._build(env)
-        if getattr(env, "is_vector", False):
-            drive_wave_sets(
-                env, epochs, result,
-                lambda episodes: self.update_wave(
-                    self.run_wave(env, episodes)))
-        else:
-            planned = self.batch_episodes and env.plan_supported()
-            episode_fn = (self.run_episode_planned if planned
-                          else self.run_episode)
-            for _ in range(epochs):
-                log_probs, entropies, rewards, _ = episode_fn(env)
-                self.update(log_probs, entropies, rewards)
-                result.record(env.best.cost if env.best else None)
-        self._finalize(result, env, started)
+            self._build(venv)
+        drive_wave_sets(
+            venv, epochs, result,
+            lambda episodes: self.update_wave(self.run_wave(venv, episodes)))
+        self._finalize(result, venv, started)
         result.memory_bytes = 8 * self.policy.num_parameters()
         return result

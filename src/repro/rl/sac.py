@@ -89,15 +89,6 @@ class SAC(OffPolicyAgent):
             self.critic1.parameters() + self.critic2.parameters(),
             lr=self.lr)
 
-    def _act(self, observation: np.ndarray, explore: bool) -> np.ndarray:
-        obs = Tensor(observation.reshape(1, -1))
-        with no_grad():
-            if explore:
-                action, _ = self.actor.sample(obs, self.rng)
-                return action.numpy()[0]
-            mean, _ = self.actor(obs)
-            return np.tanh(mean.numpy()[0])
-
     def _act_batch(self, observations: np.ndarray,
                    explore: bool) -> np.ndarray:
         obs = Tensor(observations)

@@ -35,6 +35,7 @@ from repro.core.serialization import (
     search_result_to_dict,
 )
 from repro.costmodel.estimator import CostModel
+from repro.env.vector import VectorHWAssignmentEnv
 from repro.experiments.tasks import TaskSpec
 from repro.rl.common import SearchResult
 from repro.search.callbacks import SearchObserver, StopSearch
@@ -103,60 +104,6 @@ class _Tracker:
             raise StopSearch
 
 
-class _ObservedEnv:
-    """Forwarding proxy firing one observer step per finished episode."""
-
-    def __init__(self, env, tracker: _Tracker) -> None:
-        self._env = env
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
-
-    def reset(self):
-        self._tracker.check_stop()
-        return self._env.reset()
-
-    def step(self, action):
-        out = self._env.step(action)
-        episode = out[3].get("episode")
-        if episode is not None:
-            self._tracker.record(
-                episode.cost, episode.feasible,
-                assignments_fn=lambda: episode.assignments,
-                genome=episode.genome, defer_stop=True)
-        return out
-
-    def begin_plan(self):
-        """Planned (deferred-scoring) episodes stay observable: the
-        wrapped plan fires the same one-record-per-episode protocol at
-        commit that :meth:`step` fires on the episode-ending step."""
-        return _ObservedPlan(self._env.begin_plan(), self._tracker)
-
-
-class _ObservedPlan:
-    """Forwarding proxy around :class:`~repro.env.environment.EpisodePlan`
-    recording the committed episode with the tracker."""
-
-    def __init__(self, plan, tracker: _Tracker) -> None:
-        self._plan = plan
-        self._tracker = tracker
-
-    def __getattr__(self, name):
-        return getattr(self._plan, name)
-
-    def step(self, action):
-        return self._plan.step(action)
-
-    def commit(self):
-        rewards, episode = self._plan.commit()
-        self._tracker.record(
-            episode.cost, episode.feasible,
-            assignments_fn=lambda: episode.assignments,
-            genome=episode.genome, defer_stop=True)
-        return rewards, episode
-
-
 class _ObservedVectorEnv:
     """Forwarding proxy around
     :class:`~repro.env.vector.VectorHWAssignmentEnv` firing one observer
@@ -185,12 +132,9 @@ class _ObservedVectorEnv:
     def step(self, actions):
         return self._record_wave(self._venv.step(actions))
 
-    def step_async(self, actions, background: bool = True):
-        return self._venv.step_async(actions, background=background)
-
     def step_wait(self, handle):
         # Episode results materialize at wait time, so the observer
-        # fires here (the double-buffered drivers bypass step()).
+        # fires here (the deferred-scoring drivers bypass step()).
         return self._record_wave(self._venv.step_wait(handle))
 
 
@@ -260,8 +204,8 @@ class SessionContext:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self._constraint = constraint
         self.tracker = tracker if tracker is not None else _Tracker()
-        #: Lockstep episode count for episodic methods (1 = scalar
-        #: stepping; >1 wraps the env in a VectorHWAssignmentEnv).
+        #: Lockstep episodes per wave set of the episodic methods'
+        #: VectorHWAssignmentEnv.
         self.envs = envs
         #: Method-specific rich result (e.g. the two-stage
         #: ConfuciuXResult), surfaced as ``SessionResult.detail``.
@@ -280,24 +224,19 @@ class SessionContext:
         return self.budget // 4 if self._finetune is None else self._finetune
 
     def make_env(self):
-        """A fresh environment, observed when callbacks are attached.
+        """A fresh :class:`~repro.env.vector.VectorHWAssignmentEnv` of
+        ``envs`` lockstep episodes, observed when callbacks are
+        attached."""
+        return self._vectorize(
+            self.task.make_env(self.cost_model, self.constraint))
 
-        With ``envs > 1`` the scalar env is wrapped in a
-        :class:`~repro.env.vector.VectorHWAssignmentEnv`, so every
-        episodic agent rolls lockstep episode waves with one batched
-        cost call per layer step.  ``envs == 1`` keeps the scalar
-        stepping path (to which single-env waves are bit-identical --
-        see tests/test_rl_vector_parity.py).
-        """
-        env = self.task.make_env(self.cost_model, self.constraint)
-        if self.envs > 1:
-            from repro.env.vector import VectorHWAssignmentEnv
-
-            venv = VectorHWAssignmentEnv(env, self.envs)
-            if self.tracker.active:
-                return _ObservedVectorEnv(venv, self.tracker)
-            return venv
-        return _ObservedEnv(env, self.tracker) if self.tracker.active else env
+    def _vectorize(self, env):
+        """Wrap a scalar env as the session's vector env (plus the
+        observer proxy when callbacks are attached)."""
+        venv = VectorHWAssignmentEnv(env, self.envs)
+        if self.tracker.active:
+            return _ObservedVectorEnv(venv, self.tracker)
+        return venv
 
     def make_evaluator(self):
         """A fresh genome evaluator, observed when callbacks are
@@ -392,11 +331,10 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
     the legacy ``ConfuciuX(...)`` path did, so results are bit-identical.
 
     ``SearchSpec.envs`` applies to the global RL stage exactly as it
-    does to the standalone episodic methods: with ``envs > 1`` the
-    pipeline's internally built env is wrapped in a
-    :class:`~repro.env.vector.VectorHWAssignmentEnv`, so REINFORCE rolls
-    lockstep episode waves with one batched cost call per layer step
-    (single-env waves are bit-identical to scalar stepping).
+    does to the standalone episodic methods: the pipeline's internally
+    built env is wrapped in a
+    :class:`~repro.env.vector.VectorHWAssignmentEnv` of ``envs``
+    lockstep episodes.
     """
     task = context.task
     builder = info.factory(seed=context.seed)
@@ -413,15 +351,7 @@ def run_two_stage(info: MethodInfo, context: SessionContext) -> SearchResult:
         constraint=(context.constraint
                     if task.constraint_kind == "resource" else None),
     )
-    if context.envs > 1:
-        from repro.env.vector import VectorHWAssignmentEnv
-
-        pipeline.env = VectorHWAssignmentEnv(pipeline.env, context.envs)
-        if context.tracker.active:
-            pipeline.env = _ObservedVectorEnv(pipeline.env,
-                                              context.tracker)
-    elif context.tracker.active:
-        pipeline.env = _ObservedEnv(pipeline.env, context.tracker)
+    pipeline.env = context._vectorize(pipeline.env)
     started = time.perf_counter()
     try:
         outcome = pipeline._run(global_epochs=context.budget,

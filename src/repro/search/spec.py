@@ -111,11 +111,12 @@ class SearchSpec:
             :data:`repro.parallel.backend.TRANSPORT_MIN_BATCH`); ``0``
             disables the fallback.  Never affects results.
         envs: Lockstep episode count for episodic-RL methods: the agent
-            rolls ``envs`` episodes per wave through a
+            rolls ``envs`` episodes per wave set through a
             :class:`~repro.env.vector.VectorHWAssignmentEnv`, paying one
-            batched cost call per layer step (see BENCH_rl.json).
+            batched cost call per wave set under area/resource limits
+            (one per wave under power budgets; see BENCH_rl.json).
             ``None`` defers to ``$REPRO_ENVS`` (default 1).  ``envs=1``
-            is bit-identical to scalar stepping; ``envs>1`` is a new
+            reproduces one-episode-at-a-time stepping; ``envs>1`` is a new
             reproducible scenario whose RNG stream is wave-major (one
             batched draw per action head per wave -- see API.md), so
             ``envs`` is part of the scenario identity, like ``seed``.

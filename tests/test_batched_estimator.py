@@ -27,6 +27,7 @@ from repro.costmodel import (
 )
 from repro.costmodel.batched import (
     LRUCache,
+    area_terms,
     evaluate_batch_kernel,
     table_token,
 )
@@ -432,6 +433,10 @@ class TestEdgeDims:
 
         batched = evaluate_batch_kernel(DEFAULT_HW, table, layer_idx,
                                         style_idx, pes, l1)
+        # The closed-form area the vector env checks budgets with is the
+        # report's area, bit for bit (int64-headroom point included).
+        assert area_terms(DEFAULT_HW, pes, l1)[0].tobytes() \
+            == batched.area_um2.tobytes()
         for i in range(len(layer_idx)):
             scalar = cost_model.evaluate_layer(
                 EDGE_LAYERS[layer_idx[i]], style,

@@ -87,7 +87,7 @@ class TestRunner:
             self, executor, monkeypatch):
         """The grid's backend gets the executor's break-even, the same
         threshold a SearchSpec session resolves for that executor."""
-        import repro.parallel
+        import repro.parallel.coordinator
         from repro.parallel import SerialBackend, TRANSPORT_MIN_BATCH
 
         monkeypatch.delenv("REPRO_DISPATCH_MIN", raising=False)
@@ -97,11 +97,31 @@ class TestRunner:
             handed.append(min_batch_per_worker)
             return SerialBackend()
 
-        monkeypatch.setattr(repro.parallel, "make_backend", spy)
+        # The grid builds its pool through ParallelCoordinator.
+        monkeypatch.setattr(repro.parallel.coordinator, "make_backend", spy)
         task = TaskSpec(model="ncf", platform="cloud")
         compare_methods(task, ["random"], epochs=5, executor=executor,
                         workers=2)
         assert handed == [TRANSPORT_MIN_BATCH[executor]]
+
+    def test_compare_methods_degrades_like_a_session(self, monkeypatch):
+        """A grid whose process pool exhausts its retry budget steps
+        down the degradation ladder with a RuntimeWarning, as a session
+        does, and its results stay bit-identical to the serial grid."""
+        from repro.parallel import FaultPlan
+
+        task = TaskSpec(model="mobilenet_v2", layer_slice=4,
+                        platform="cloud")
+        serial = compare_methods(task, ["ga"], epochs=40)
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        monkeypatch.setenv("REPRO_FAULTS",
+                           FaultPlan(kill_worker=[(0, 0)]).to_json())
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            pooled = compare_methods(task, ["ga"], epochs=40,
+                                     executor="process", workers=2,
+                                     dispatch_min_batch=0)
+        assert pooled["ga"].best_cost == serial["ga"].best_cost
+        assert pooled["ga"].history == serial["ga"].history
 
     def test_compare_methods_cache_hits_and_interop(self, cost_model,
                                                     tmp_path):

@@ -127,36 +127,22 @@ def test_session_identical_after_workers_killed_mid_batch(method, envs,
     assert execution["degraded_to"] is None
 
 
-def test_reinforce_planned_episodes_match_scalar_stepping():
-    """The batched-epoch REINFORCE path (the one parallel backends
-    shard) is bit-identical to per-step scalar calls, including RNG
-    consumption around mid-episode constraint violations."""
-    layers = get_model("mobilenet_v2")[:5]
-    results = {}
-    for flag in (False, True):
-        pipeline = repro.ConfuciuX(
-            layers, platform="iot", seed=13,
-            reinforce_kwargs={"batch_episodes": flag})
-        results[flag] = pipeline._run(global_epochs=12,
-                                      finetune_generations=0)
-    scalar, planned = results[False], results[True]
-    assert scalar.trace == planned.trace
-    assert scalar.best_cost == planned.best_cost
-    assert scalar.best_assignments == planned.best_assignments
-    assert (scalar.global_result.evaluations
-            == planned.global_result.evaluations)
-
-
-def test_power_constrained_env_stays_on_scalar_path():
-    """Power budgets need full per-layer reports to detect violations,
-    so planned episodes must refuse rather than silently diverge."""
-    task = SearchSpec(model="mobilenet_v2", constraint_kind="power",
-                      layer_slice=4).task()
-    cost_model = CostModel()
-    env = task.make_env(cost_model, task.constraint(cost_model))
-    assert not env.plan_supported()
-    with pytest.raises(RuntimeError, match="power"):
-        env.begin_plan()
+@pytest.mark.parametrize("envs", [1, 8])
+def test_resource_capped_reinforce_waves_shard_bit_identically(envs):
+    """Resource caps defer every wave of a set to one batched cost call;
+    sharding that call across process workers (``dispatch_min_batch=0``
+    forces it for every batch) leaves the session bit-identical to
+    serial, at one and at eight lockstep episodes."""
+    base = dict(model="mobilenet_v2", method="reinforce", budget=16,
+                seed=5, layer_slice=6, constraint_kind="resource",
+                max_total_pes=200, max_total_l1=20000, envs=envs,
+                dispatch_min_batch=0)
+    reference = SearchSession(SearchSpec(executor="serial", **base)).run()
+    sharded = SearchSession(
+        SearchSpec(executor="process", workers=2, **base)).run()
+    assert _comparable(sharded) == _comparable(reference)
+    assert reference.result.evaluations < 16 * 6  # caps cut episodes
+    assert sharded.provenance["execution"]["sharded_batches"] > 0
 
 
 # ----------------------------------------------------------------------

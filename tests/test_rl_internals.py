@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import PlatformConstraint, platform_constraint
-from repro.env import ActionSpace, HWAssignmentEnv
+from repro.env import ActionSpace, HWAssignmentEnv, VectorHWAssignmentEnv
 from repro.nn import Tensor
 from repro.rl import A2C, ACKTR, DDPG, PPO2, SAC, TD3, Reinforce
 from repro.rl.sac import GaussianActor
@@ -60,17 +60,17 @@ class TestActorCriticInternals:
     def test_a2c_critic_trains_toward_returns(self, loose_env):
         agent = A2C(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards = agent._collect(loose_env)
-        first_loss = agent.update(observations, actions, rewards)
-        losses = [agent.update(*agent._collect(loose_env)[0:3])
+        venv = VectorHWAssignmentEnv(loose_env, 1)
+        first_loss = agent.update_wave(agent._collect_vector(venv, 1))
+        losses = [agent.update_wave(agent._collect_vector(venv, 1))
                   for _ in range(5)]
         assert all(np.isfinite(l) for l in [first_loss, *losses])
 
     def test_acktr_preconditioner_builds_fisher(self, loose_env):
         agent = ACKTR(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards = agent._collect(loose_env)
-        agent.update(observations, actions, rewards)
+        venv = VectorHWAssignmentEnv(loose_env, 1)
+        agent.update_wave(agent._collect_vector(venv, 1))
         assert agent._fisher is not None
         assert any(np.any(f > 0) for f in agent._fisher)
 
@@ -85,9 +85,8 @@ class TestActorCriticInternals:
     def test_ppo_surrogate_finite(self, loose_env):
         agent = PPO2(seed=0)
         agent._build(loose_env)
-        observations, actions, rewards, old_log_probs = \
-            agent._collect(loose_env)
-        loss = agent.update(observations, actions, rewards, old_log_probs)
+        venv = VectorHWAssignmentEnv(loose_env, 1)
+        loss = agent.update_wave(agent._collect_vector(venv, 1))
         assert np.isfinite(loss)
 
 

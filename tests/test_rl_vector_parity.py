@@ -261,3 +261,50 @@ class TestTwoStageEnvs:
         stopped = SearchSession(self._spec(budget=40, envs=4)).run(
             callbacks=[EarlyStopping(patience=2)])
         assert stopped.stopped_early
+
+
+INF = float("inf")
+
+#: (method, envs) -> (best_cost, history, evaluations) on the 5-layer
+#: MobileNet-V2 slice, seed 0, budget 6 (confuciux: finetune 2), recorded
+#: while every agent still carried a scalar stepping loop next to its wave
+#: path -- the envs=1 values are the scalar loop's, which the one-env wave
+#: path must keep reproducing.
+GOLDEN = {
+    ("reinforce", 1): (2685930.0, [2685930.0] * 6, 26),
+    ("reinforce", 4): (11640166.0, [11640166.0] * 6, 28),
+    ("a2c", 1): (5761138.0, [INF] + [5761138.0] * 5, 22),
+    ("a2c", 4): (4123303.0, [4123303.0] * 6, 25),
+    ("acktr", 1): (5761138.0, [INF] + [5761138.0] * 5, 13),
+    ("acktr", 4): (4123303.0, [4123303.0] * 6, 25),
+    ("ppo2", 1): (5761138.0, [INF] + [5761138.0] * 5, 17),
+    ("ppo2", 4): (4123303.0, [4123303.0] * 6, 21),
+    ("ddpg", 1): (3173381.0, [3173381.0] * 6, 25),
+    ("ddpg", 4): (3215565.0, [3215565.0] * 6, 27),
+    ("td3", 1): (8123868.0, [INF] * 3 + [8123868.0] * 3, 19),
+    ("td3", 4): (None, [INF] * 6, 19),
+    ("sac", 1): (None, [INF] * 6, 22),
+    ("sac", 4): (None, [INF] * 6, 22),
+    ("reinforce-mlp", 1): (11380330.0,
+                           [INF, 23185040.0] + [11380330.0] * 4, 27),
+    ("reinforce-mlp", 4): (5437304.0, [5437304.0] * 6, 24),
+    ("confuciux", 1): (2577030.0, [2685930.0] * 6 + [2577030.0] * 2, 82),
+    ("confuciux", 4): (7963562.0, [11640166.0] * 6 + [7963562.0] * 2, 84),
+}
+
+
+class TestGoldenPin:
+    def test_golden_covers_every_episodic_method(self):
+        assert {name for name, _ in GOLDEN} == {*EPISODIC_METHODS,
+                                                "confuciux"}
+
+    @pytest.mark.parametrize("name,envs", sorted(GOLDEN))
+    def test_results_are_pinned(self, name, envs):
+        """Sessions reproduce the recorded best cost, convergence trace
+        and evaluation count exactly."""
+        spec = SearchSpec(model="mobilenet_v2", method=name, budget=BUDGET,
+                          seed=0, layer_slice=5, envs=envs,
+                          finetune=2 if name == "confuciux" else None)
+        result = SearchSession(spec).run().result
+        assert (result.best_cost, result.history, result.evaluations) \
+            == GOLDEN[name, envs]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import PlatformConstraint, ResourceConstraint
@@ -281,3 +281,131 @@ class TestReplayProperty:
             assert replay.cost == episode.cost
             assert replay.used == episode.used
             assert replay.assignments == episode.assignments
+
+
+# ----------------------------------------------------------------------
+# Deferred wave scoring
+# ----------------------------------------------------------------------
+#: Budgets per constraint kind, loosest last: tight budgets cut episodes
+#: at the first layers, looser ones mid-episode or never.
+DEFERRED_BUDGETS = {"area": (2.0e6, 4.0e6, 8.0e6),
+                    "power": (300.0, 700.0, 1500.0),
+                    "resource": (32, 64, 160)}
+
+
+def constrained_env(kind, tightness, cost_model):
+    budget = DEFERRED_BUDGETS[kind][tightness]
+    if kind == "resource":
+        constraint = ResourceConstraint(max_pes=budget, max_l1_bytes=16384)
+    else:
+        constraint = PlatformConstraint(kind=kind, budget=budget,
+                                        platform="custom")
+    return HWAssignmentEnv(get_model("mobilenet_v2")[:4],
+                           ActionSpace.build("dla"), "latency", constraint,
+                           cost_model, dataflow="dla")
+
+
+@st.composite
+def deferred_case(draw):
+    episodes, matrix, kind = draw(wave_actions())
+    return episodes, matrix, kind, draw(st.integers(min_value=0,
+                                                    max_value=2))
+
+
+def _wave_rows(matrix, wave, live):
+    return np.array(matrix[wave % len(matrix)]).reshape(-1, 2)[:len(live)]
+
+
+#: Episode 0 runs level 9, violating at its second or third layer under
+#: the budgets the examples pick; episode 1 runs level 0 and finishes.
+_MID_EPISODE = [[9, 9, 0, 0]] * 4
+
+
+class TestDeferredWaits:
+    @settings(max_examples=25, deadline=None)
+    @given(deferred_case())
+    @example((2, _MID_EPISODE, "area", 0))
+    @example((2, _MID_EPISODE, "power", 1))
+    @example((2, _MID_EPISODE, "resource", 1))
+    def test_deferred_waits_match_immediate_steps_and_scalar_replay(
+            self, case):
+        """Issuing every wave of a set before waiting any (the episodic
+        drivers' order) yields exactly the stream immediate stepping
+        yields -- observations, rewards, dones, episode results, p_min
+        and counters -- and each finished episode equals its scalar
+        replay, under every constraint kind and wherever episodes
+        violate."""
+        episodes, matrix, kind, tightness = case
+        cost_model = CostModel()
+        env_now = constrained_env(kind, tightness, cost_model)
+        venv_now = VectorHWAssignmentEnv(env_now, episodes)
+        venv_now.reset()
+        immediate = []
+        while not venv_now.all_done:
+            live = venv_now.live_indices
+            immediate.append(venv_now.step(
+                _wave_rows(matrix, len(immediate), live)))
+
+        env_later = constrained_env(kind, tightness, cost_model)
+        venv_later = VectorHWAssignmentEnv(env_later, episodes)
+        venv_later.reset()
+        handles = []
+        while not venv_later.all_done:
+            live = venv_later.live_indices
+            handles.append(venv_later.step_async(
+                _wave_rows(matrix, len(handles), live)))
+        deferred = [venv_later.step_wait(handle) for handle in handles]
+
+        assert len(deferred) == len(immediate)
+        finished = []
+        for now, later in zip(immediate, deferred):
+            for a, b in zip(now[:3], later[:3]):
+                assert np.array_equal(a, b)
+            assert now[3]["episodes"] == later[3]["episodes"]
+            finished += [e for e in later[3]["episodes"] if e is not None]
+        assert len(finished) == episodes
+        assert env_later.p_min == env_now.p_min
+        assert env_later.evaluations == env_now.evaluations
+        assert env_later.episodes == env_now.episodes == episodes
+        assert env_later.best == env_now.best
+        for episode in finished:
+            replay_env = constrained_env(kind, tightness, cost_model)
+            replay_env.reset()
+            for action in episode.actions:
+                _, _, _, step_info = replay_env.step(list(action))
+            replay = step_info["episode"]
+            assert replay == episode
+
+
+class TestCostCallsPerWaveSet:
+    @pytest.mark.parametrize("method", ["reinforce", "a2c"])
+    @pytest.mark.parametrize("kind", ["area", "resource", "power"])
+    def test_one_call_per_wave_set_unless_power(self, method, kind,
+                                                monkeypatch):
+        """A wave set under an area or resource budget makes exactly one
+        batched cost call however many waves it issues; a power wave set
+        makes one per wave, because its termination needs the report."""
+        from repro.costmodel.batched import BatchedCostModel
+        from repro.search.registry import get_method
+
+        calls, waves = [], []
+        evaluate = BatchedCostModel.evaluate
+        step_async = VectorHWAssignmentEnv.step_async
+
+        def spy_evaluate(model, table, layer_idx, *args):
+            calls.append(len(layer_idx))
+            return evaluate(model, table, layer_idx, *args)
+
+        def spy_step_async(venv, actions):
+            waves.append(len(actions))
+            return step_async(venv, actions)
+
+        monkeypatch.setattr(BatchedCostModel, "evaluate", spy_evaluate)
+        monkeypatch.setattr(VectorHWAssignmentEnv, "step_async",
+                            spy_step_async)
+        env = constrained_env(kind, 1, CostModel())
+        get_method(method).factory(seed=0).search(
+            VectorHWAssignmentEnv(env, 4), 4)
+        assert len(waves) > 1
+        assert sum(calls) == sum(waves) == env.evaluations
+        assert calls == (waves if kind == "power" else [sum(waves)])
